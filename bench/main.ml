@@ -63,24 +63,25 @@ let run_tables () =
     benches;
   (* Memory footprint: the paper's second motivation (section I). *)
   Printf.printf "%s\n" hr;
-  Printf.printf
-    "Memory footprint: peak live bytes, unoptimized / short-circuited / \
-     reused / packed\n";
-  Printf.printf "%-15s %-10s %12s %12s %12s %12s %9s %s\n" "Benchmark"
-    "dataset" "unopt (MB)" "opt (MB)" "reuse (MB)" "pack (MB)" "saved"
-    "dead allocs (sc+reuse+pack)";
+  let names = Core.Pipeline.variant_names in
+  Printf.printf "Memory footprint: peak live bytes per variant (%s)\n"
+    (String.concat " / " names);
+  Printf.printf "%-15s %-10s%s %9s %s\n" "Benchmark" "dataset"
+    (String.concat ""
+       (List.map (fun v -> Printf.sprintf " %12s" (v ^ " (MB)")) names))
+    "saved" "dead allocs (sc+reuse+pack)";
   List.iter
     (fun (name, dead, rdead, pdead, fps) ->
       List.iter
-        (fun (ds, u, o, r, p) ->
-          let open Benchsuite.Runner in
-          Printf.printf
-            "%-15s %-10s %12.1f %12.1f %12.1f %12.1f %8.0f%% %5d+%d+%d\n"
-            name ds (u.f_peak_bytes /. 1e6) (o.f_peak_bytes /. 1e6)
-            (r.f_peak_bytes /. 1e6) (p.f_peak_bytes /. 1e6)
-            (100.
-            *. (u.f_peak_bytes -. p.f_peak_bytes)
-            /. Float.max 1.0 u.f_peak_bytes)
+        (fun (ds, fs) ->
+          let peaks =
+            List.map (fun (_, f) -> f.Benchsuite.Runner.f_peak_bytes) fs
+          in
+          let first = List.hd peaks and last = List.hd (List.rev peaks) in
+          Printf.printf "%-15s %-10s%s %8.0f%% %5d+%d+%d\n" name ds
+            (String.concat ""
+               (List.map (fun b -> Printf.sprintf " %12.1f" (b /. 1e6)) peaks))
+            (100. *. (first -. last) /. Float.max 1.0 first)
             dead rdead pdead)
         fps)
     (List.rev !footprints);

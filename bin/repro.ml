@@ -11,7 +11,8 @@
                                 (memtrace); --json dumps the event log,
                                 --diff compares the variants' logical
                                 event skeletons
-     repro dump <bench> [-O|-R] print the (memory-annotated) IR
+     repro dump <bench> [--variant NAME]
+                                print one variant's (memory-annotated) IR
      repro bench [--check]      emit the BENCH.json performance record;
                                 with --check, gate it against the
                                 committed bench/baseline.json and exit
@@ -121,56 +122,43 @@ let find_bench s =
 (* ---- table ----------------------------------------------------- *)
 
 let pp_footprints ?(verbose = false) (o : Benchsuite.Runner.outcome) =
-  let holes =
-    o.Benchsuite.Runner.compiled.Core.Pipeline.pack_stats.Core.Pack.holes
+  let open Benchsuite.Runner in
+  let holes = o.compiled.Core.Pipeline.pack_stats.Core.Pack.holes in
+  let a f =
+    let base =
+      if f.f_scratch = 0 then string_of_int f.f_allocs
+      else Printf.sprintf "%d+%ds" f.f_allocs f.f_scratch
+    in
+    if f.f_arena_allocs = 0 then base
+    else if holes = 0 then Printf.sprintf "%s(%da)" base f.f_arena_allocs
+    else Printf.sprintf "%s(%da,%dh)" base f.f_arena_allocs holes
+  in
+  (* one cell per variant, in ladder order *)
+  let arrows fmt get l =
+    String.concat " -> " (List.map (fun x -> Printf.sprintf fmt (get x)) l)
   in
   List.iter
-    (fun (label, u, p, r, pk_) ->
-      let a (f : Benchsuite.Runner.footprint) =
-        let base =
-          if f.Benchsuite.Runner.f_scratch = 0 then
-            string_of_int f.Benchsuite.Runner.f_allocs
-          else
-            Printf.sprintf "%d+%ds" f.Benchsuite.Runner.f_allocs
-              f.Benchsuite.Runner.f_scratch
-        in
-        if f.Benchsuite.Runner.f_arena_allocs = 0 then base
-        else if holes = 0 then
-          Printf.sprintf "%s(%da)" base f.Benchsuite.Runner.f_arena_allocs
-        else
-          Printf.sprintf "%s(%da,%dh)" base
-            f.Benchsuite.Runner.f_arena_allocs holes
-      in
-      let pk (f : Benchsuite.Runner.footprint) =
-        f.Benchsuite.Runner.f_peak_bytes
-      in
-      Printf.printf
-        "  footprint %-9s allocs %s -> %s -> %s -> %s | peak %.3g -> %.3g \
-         -> %.3g -> %.3g B (unopt/opt/reuse/pack)\n"
-        label (a u) (a p) (a r) (a pk_) (pk u) (pk p) (pk r) (pk pk_);
-      let hm (f : Benchsuite.Runner.footprint) =
-        Printf.sprintf "%d/%d" f.Benchsuite.Runner.f_pool_hits
-          f.Benchsuite.Runner.f_pool_misses
-      in
-      match (u.Benchsuite.Runner.f_pool, p.Benchsuite.Runner.f_pool,
-             r.Benchsuite.Runner.f_pool, pk_.Benchsuite.Runner.f_pool)
-      with
-      | Some pu, Some pp_, Some pr, Some ppk ->
-          Printf.printf "  pool      %-9s hit/miss %s -> %s -> %s -> %s\n"
-            label (hm u) (hm p) (hm r) (hm pk_);
-          if verbose then
-            Printf.printf
-              "  pool      %-9s high-water %.3g -> %.3g -> %.3g -> %.3g B | \
-               fragmentation %.0f%% -> %.0f%% -> %.0f%% -> %.0f%%\n"
-              label pu.Gpu.Device.Pool.p_high_water
-              pp_.Gpu.Device.Pool.p_high_water pr.Gpu.Device.Pool.p_high_water
-              ppk.Gpu.Device.Pool.p_high_water
-              (100. *. pu.Gpu.Device.Pool.p_fragmentation)
-              (100. *. pp_.Gpu.Device.Pool.p_fragmentation)
-              (100. *. pr.Gpu.Device.Pool.p_fragmentation)
-              (100. *. ppk.Gpu.Device.Pool.p_fragmentation)
-      | _ -> ())
-    o.Benchsuite.Runner.footprints
+    (fun (label, fps) ->
+      let fs = List.map snd fps in
+      Printf.printf "  footprint %-9s allocs %s | peak %s B (%s)\n" label
+        (arrows "%s" a fs)
+        (arrows "%.3g" (fun f -> f.f_peak_bytes) fs)
+        (String.concat "/" (List.map fst fps));
+      let pools = List.filter_map (fun f -> f.f_pool) fs in
+      if List.length pools = List.length fs then begin
+        Printf.printf "  pool      %-9s hit/miss %s\n" label
+          (arrows "%s"
+             (fun f -> Printf.sprintf "%d/%d" f.f_pool_hits f.f_pool_misses)
+             fs);
+        if verbose then
+          Printf.printf
+            "  pool      %-9s high-water %s B | fragmentation %s\n" label
+            (arrows "%.3g" (fun ps -> ps.Gpu.Device.Pool.p_high_water) pools)
+            (arrows "%.0f%%"
+               (fun ps -> 100. *. ps.Gpu.Device.Pool.p_fragmentation)
+               pools)
+      end)
+    o.footprints
 
 let json_escape s =
   String.concat ""
@@ -200,26 +188,31 @@ let prover_json (p : Symalg.Prover.stats) =
 
 (* One machine-readable performance record for the whole suite:
    per-benchmark modeled times and impacts per (device, dataset),
-   memory footprints of the three variants, compile times, reuse-pass
+   memory footprints of every variant, compile times, reuse-pass
    statistics, and the prover's memoization effectiveness. *)
 let bench_json_of (outcomes : (bench * Benchsuite.Runner.outcome) list)
     (pstats : Symalg.Prover.stats) : string =
   let buf = Buffer.create 8192 in
   let bench_obj (b, (o : Benchsuite.Runner.outcome)) =
     let c = o.Benchsuite.Runner.compiled in
+    let fields fmt key l =
+      String.concat ","
+        (List.map (fun (v, x) -> Printf.sprintf fmt (key v) x) l)
+    in
     let rows =
       String.concat ","
         (List.map
            (fun (r : Benchsuite.Table.row) ->
+             (* the opt variant's impact is the paper's own column *)
              Printf.sprintf
-               "{\"device\":\"%s\",\"dataset\":\"%s\",\"ref_ms\":%g,\"unopt_ms\":%g,\"opt_ms\":%g,\"reuse_ms\":%g,\"pack_ms\":%g,\"impact\":%g,\"reuse_impact\":%g,\"pack_impact\":%g}"
+               "{\"device\":\"%s\",\"dataset\":\"%s\",\"ref_ms\":%g,%s,%s}"
                (json_escape r.Benchsuite.Table.device)
                (json_escape r.Benchsuite.Table.dataset)
-               r.Benchsuite.Table.ref_ms r.Benchsuite.Table.unopt_ms
-               r.Benchsuite.Table.opt_ms r.Benchsuite.Table.reuse_ms
-               r.Benchsuite.Table.pack_ms r.Benchsuite.Table.impact
-               r.Benchsuite.Table.reuse_impact
-               r.Benchsuite.Table.pack_impact)
+               (r.Benchsuite.Table.ref_s *. 1e3)
+               (fields "\"%s_ms\":%g" Fun.id (Benchsuite.Table.ms r))
+               (fields "\"%s\":%g"
+                  (function "opt" -> "impact" | v -> v ^ "_impact")
+                  (Benchsuite.Table.impacts_of r)))
            o.Benchsuite.Runner.table.Benchsuite.Table.rows)
     in
     let fp (f : Benchsuite.Runner.footprint) =
@@ -252,10 +245,10 @@ let bench_json_of (outcomes : (bench * Benchsuite.Runner.outcome) list)
     let fps =
       String.concat ","
         (List.map
-           (fun (label, u, p, r, pk) ->
-             Printf.sprintf
-               "{\"dataset\":\"%s\",\"unopt\":%s,\"opt\":%s,\"reuse\":%s,\"pack\":%s}"
-               (json_escape label) (fp u) (fp p) (fp r) (fp pk))
+           (fun (label, fs) ->
+             Printf.sprintf "{\"dataset\":\"%s\",%s}" (json_escape label)
+               (fields "\"%s\":%s" Fun.id
+                  (List.map (fun (v, f) -> (v, fp f)) fs)))
            o.Benchsuite.Runner.footprints)
     in
     let rst = c.Core.Pipeline.reuse_stats in
@@ -427,14 +420,15 @@ let run_validate which =
   let validate b =
     let v = Benchsuite.Runner.validate b.prog (Lazy.force b.small_args) in
     Printf.printf
-      "%-14s interp-match: unopt=%b opt=%b reuse=%b pack=%b | copies %d -> \
-       %d (%d elided) | circuits %d\n"
-      b.name v.Benchsuite.Runner.ok_unopt v.Benchsuite.Runner.ok_opt
-      v.Benchsuite.Runner.ok_reuse v.Benchsuite.Runner.ok_pack
+      "%-14s interp-match: %s | copies %d -> %d (%d elided) | circuits %d\n"
+      b.name
+      (String.concat " "
+         (List.map
+            (fun (name, ok) -> Printf.sprintf "%s=%b" name ok)
+            v.Benchsuite.Runner.ok))
       v.Benchsuite.Runner.copies_unopt v.Benchsuite.Runner.copies_opt
       v.Benchsuite.Runner.elided v.Benchsuite.Runner.sc_succeeded;
-    v.Benchsuite.Runner.ok_unopt && v.Benchsuite.Runner.ok_opt
-    && v.Benchsuite.Runner.ok_reuse && v.Benchsuite.Runner.ok_pack
+    Benchsuite.Runner.all_ok v
   in
   match which with
   | "all" ->
@@ -480,7 +474,7 @@ let run_lint which options pack verbose_reports =
 
 (* ---- trace ------------------------------------------------------- *)
 
-(* Full-mode traced execution of both pipeline variants at the reduced
+(* Full-mode traced execution of every pipeline variant at the reduced
    size, cross-checked by memtrace.  Human output shows the checker's
    verdict and the per-kernel traffic histogram of the optimized run;
    [--json] emits the raw event logs instead (to stdout, or to
@@ -503,28 +497,25 @@ let print_histogram t =
     (tr.Core.Trace.t_copy_bytes /. 1e6)
     (tr.Core.Trace.t_elided_bytes /. 1e6)
 
-let bench_json (u : Benchsuite.Runner.traced) (o : Benchsuite.Runner.traced)
-    (r : Benchsuite.Runner.traced) (p : Benchsuite.Runner.traced) =
-  let clean =
-    Core.Memtrace.ok u.Benchsuite.Runner.check
-    && Core.Memtrace.ok o.Benchsuite.Runner.check
-    && Core.Memtrace.ok r.Benchsuite.Runner.check
-    && Core.Memtrace.ok p.Benchsuite.Runner.check
-  in
-  Printf.sprintf
-    "{\"clean\": %b, \"unopt\": %s, \"opt\": %s, \"reuse\": %s, \"pack\": %s}"
-    clean
-    (Core.Trace.to_json u.Benchsuite.Runner.trace)
-    (Core.Trace.to_json o.Benchsuite.Runner.trace)
-    (Core.Trace.to_json r.Benchsuite.Runner.trace)
-    (Core.Trace.to_json p.Benchsuite.Runner.trace)
+let traces_clean ts =
+  List.for_all
+    (fun (_, (t : Benchsuite.Runner.traced)) ->
+      Core.Memtrace.ok t.Benchsuite.Runner.check)
+    ts
+
+let traces_json (ts : (string * Benchsuite.Runner.traced) list) =
+  Printf.sprintf "{\"clean\": %b, %s}" (traces_clean ts)
+    (String.concat ", "
+       (List.map
+          (fun (v, (t : Benchsuite.Runner.traced)) ->
+            Printf.sprintf "\"%s\": %s" v
+              (Core.Trace.to_json t.Benchsuite.Runner.trace))
+          ts))
 
 (* --diff: the optimizations may move and elide storage but must not
-   change the logical event sequence.  Compare the variants' trace
-   skeletons pairwise; any divergence is a failure. *)
-let diff_traces b (u : Benchsuite.Runner.traced)
-    (o : Benchsuite.Runner.traced) (r : Benchsuite.Runner.traced)
-    (p : Benchsuite.Runner.traced) : bool =
+   change the logical event sequence.  Compare each variant's trace
+   skeleton with the next rung's; any divergence is a failure. *)
+let diff_traces b (ts : (string * Benchsuite.Runner.traced) list) : bool =
   let pair ta tb =
     match Core.Trace.diff ta tb with
     | [] -> true
@@ -534,32 +525,29 @@ let diff_traces b (u : Benchsuite.Runner.traced)
         List.iter (fun d -> Printf.printf "  %s\n" d) ds;
         false
   in
-  let ok_uo = pair u.Benchsuite.Runner.trace o.Benchsuite.Runner.trace in
-  let ok_or = pair o.Benchsuite.Runner.trace r.Benchsuite.Runner.trace in
-  let ok_rp = pair r.Benchsuite.Runner.trace p.Benchsuite.Runner.trace in
-  if ok_uo && ok_or && ok_rp then
-    Printf.printf
-      "%-14s skeletons agree across unopt/opt/reuse/pack (%d logical \
-       events)\n"
+  let traces = List.map (fun (_, t) -> t.Benchsuite.Runner.trace) ts in
+  let rec pairs = function
+    | ta :: (tb :: _ as rest) ->
+        let ok = pair ta tb in
+        ok :: pairs rest
+    | _ -> []
+  in
+  let ok = List.for_all Fun.id (pairs traces) in
+  if ok then
+    Printf.printf "%-14s skeletons agree across %s (%d logical events)\n"
       b.name
-      (List.length (Core.Trace.skeleton u.Benchsuite.Runner.trace));
-  ok_uo && ok_or && ok_rp
+      (String.concat "/" (List.map fst ts))
+      (List.length (Core.Trace.skeleton (List.hd traces)));
+  ok
 
 let run_trace which json diff out =
   let trace b =
-    let u, o, r, p =
-      Benchsuite.Runner.trace_check4 b.prog (Lazy.force b.small_args)
-    in
-    let clean =
-      Core.Memtrace.ok u.Benchsuite.Runner.check
-      && Core.Memtrace.ok o.Benchsuite.Runner.check
-      && Core.Memtrace.ok r.Benchsuite.Runner.check
-      && Core.Memtrace.ok p.Benchsuite.Runner.check
-    in
-    if diff then diff_traces b u o r p && clean
+    let ts = Benchsuite.Runner.trace_check b.prog (Lazy.force b.small_args) in
+    let clean = traces_clean ts in
+    if diff then diff_traces b ts && clean
     else begin
       if json then (
-        let s = bench_json u o r p in
+        let s = traces_json ts in
         match out with
         | None -> print_endline s
         | Some dir ->
@@ -573,10 +561,10 @@ let run_trace which json diff out =
               (if clean then "clean" else "VIOLATIONS"))
       else begin
         List.iter
-          (fun (t : Benchsuite.Runner.traced) ->
+          (fun (_, (t : Benchsuite.Runner.traced)) ->
             Fmt.pr "%a@." Core.Memtrace.pp_report t.Benchsuite.Runner.check)
-          [ u; o; r; p ];
-        print_histogram o.Benchsuite.Runner.trace;
+          ts;
+        print_histogram (List.assoc "opt" ts).Benchsuite.Runner.trace;
         print_newline ()
       end;
       clean
@@ -592,16 +580,11 @@ let run_trace which json diff out =
 
 (* ---- dump -------------------------------------------------------- *)
 
-let run_dump which opt reuse pack =
+let run_dump which variant =
   Result.map
     (fun b ->
       let c = Core.Pipeline.compile b.prog in
-      let p =
-        if pack then c.Core.Pipeline.pack
-        else if reuse then c.Core.Pipeline.reuse
-        else if opt then c.Core.Pipeline.opt
-        else c.Core.Pipeline.unopt
-      in
+      let p = List.assoc variant (Core.Pipeline.variants c) in
       print_endline (Ir.Pretty.prog_to_string p))
     (find_bench which)
 
@@ -1191,23 +1174,18 @@ let validate_cmd =
     Term.(const (fun w -> to_exit (run_validate w)) $ bench_arg)
 
 let dump_cmd =
-  let opt =
-    Arg.(value & flag & info [ "O"; "optimized" ] ~doc:"Dump the optimized IR.")
-  in
-  let reuse =
+  let variant =
+    let names = Core.Pipeline.variant_names in
     Arg.(
-      value & flag
-      & info [ "R"; "reuse" ] ~doc:"Dump the memory-reused IR.")
-  in
-  let pack =
-    Arg.(
-      value & flag
-      & info [ "P"; "pack" ] ~doc:"Dump the arena-packed IR.")
+      value
+      & opt (enum (List.map (fun v -> (v, v)) names)) (List.hd names)
+      & info [ "variant" ] ~docv:"NAME"
+          ~doc:
+            (Printf.sprintf "The pipeline variant to dump: %s."
+               (String.concat ", " names)))
   in
   Cmd.v (Cmd.info "dump" ~doc:"Print a benchmark's memory-annotated IR")
-    Term.(
-      const (fun w o r p -> to_exit (run_dump w o r p))
-      $ bench_arg $ opt $ reuse $ pack)
+    Term.(const (fun w v -> to_exit (run_dump w v)) $ bench_arg $ variant)
 
 let lint_cmd =
   let reports =

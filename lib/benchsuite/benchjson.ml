@@ -9,11 +9,10 @@
    The gate compares a freshly emitted BENCH.json against a committed
    baseline (bench/baseline.json):
 
-   - per (benchmark, device, dataset) row, each modeled time
-     (unopt/opt/reuse) may not exceed the baseline by more than the
-     relative tolerance - times are simulated, so drift only comes
-     from code changes, and the tolerance only absorbs intentional
-     cost-model adjustments;
+   - per (benchmark, device, dataset) row, each variant's modeled time
+     may not exceed the baseline by more than the relative tolerance -
+     times are simulated, so drift only comes from code changes, and
+     the tolerance only absorbs intentional cost-model adjustments;
    - per (benchmark, dataset, variant) footprint, the allocation count,
      peak live bytes and modeled DRAM traffic must be monotone
      non-increasing - these are exact counters, so any increase is a
@@ -215,8 +214,8 @@ let benchmarks_of v =
 let name_of b = Option.value ~default:"?" (Option.bind (member "name" b) str)
 
 (* time fields per row, footprint fields per variant *)
-let row_times = [ "unopt_ms"; "opt_ms"; "reuse_ms"; "pack_ms" ]
-let fp_variants = [ "unopt"; "opt"; "reuse"; "pack" ]
+let fp_variants = Core.Pipeline.variant_names
+let row_times = List.map (fun v -> v ^ "_ms") fp_variants
 let fp_monotone = [ "allocs"; "peak_bytes"; "traffic_bytes" ]
 
 (* packing-pass counters: arenas, packed placements and certified

@@ -2,9 +2,9 @@
 
    Each benchmark reproduces one of the paper's Tables I-VII: rows are
    (device, dataset), columns are the reference implementation's
-   simulated time, the unoptimized, short-circuited and memory-reused
-   Futhark-style versions' performance *relative to the reference*
-   (higher = faster, as in the paper), and the optimization impact
+   simulated time, every pipeline variant's performance *relative to
+   the reference* (higher = faster, as in the paper), and the
+   optimization impact
    (unoptimized time / optimized time).  The paper's published numbers
    ride along so every rendering shows measured-vs-paper side by
    side. *)
@@ -12,18 +12,10 @@
 type row = {
   device : string;
   dataset : string;
-  ref_ms : float; (* simulated reference time, milliseconds *)
-  unopt_ms : float; (* raw modeled times, for the machine-readable dump *)
-  opt_ms : float;
-  reuse_ms : float;
-  pack_ms : float;
-  unopt_rel : float; (* ref_time / unopt_time *)
-  opt_rel : float; (* ref_time / opt_time *)
-  reuse_rel : float; (* ref_time / reuse_time *)
-  pack_rel : float; (* ref_time / pack_time *)
-  impact : float; (* unopt_time / opt_time (the paper's column) *)
-  reuse_impact : float; (* unopt_time / reuse_time *)
-  pack_impact : float; (* unopt_time / pack_time *)
+  ref_s : float; (* simulated reference time, seconds *)
+  times : (string * float) list;
+      (* modeled time of each pipeline variant, seconds, in ladder
+         order (Core.Pipeline.variants) *)
   paper : (float * float * float * float) option;
       (* (ref ms, unopt x, opt x, impact) published in the paper *)
 }
@@ -34,31 +26,31 @@ type t = {
   rows : row list;
 }
 
-let make_row ~device ~dataset ~ref_time ~unopt_time ~opt_time ~reuse_time
-    ~pack_time ~paper =
-  {
-    device;
-    dataset;
-    ref_ms = ref_time *. 1e3;
-    unopt_ms = unopt_time *. 1e3;
-    opt_ms = opt_time *. 1e3;
-    reuse_ms = reuse_time *. 1e3;
-    pack_ms = pack_time *. 1e3;
-    unopt_rel = ref_time /. unopt_time;
-    opt_rel = ref_time /. opt_time;
-    reuse_rel = ref_time /. reuse_time;
-    pack_rel = ref_time /. pack_time;
-    impact = unopt_time /. opt_time;
-    reuse_impact = unopt_time /. reuse_time;
-    pack_impact = unopt_time /. pack_time;
-    paper;
-  }
+(* Derived columns: milliseconds per variant, performance relative to
+   the reference per variant (ref_time / time), and the impact of each
+   optimized variant (first variant's time / its time). *)
+let ms r = List.map (fun (v, t) -> (v, t *. 1e3)) r.times
+let rels r = List.map (fun (v, t) -> (v, r.ref_s /. t)) r.times
+
+let impacts_of r =
+  match r.times with
+  | (_, base) :: rest -> List.map (fun (v, t) -> (v, base /. t)) rest
+  | [] -> []
+
+(* the paper's impact column: unoptimized time / short-circuited time *)
+let impact r = List.assoc "opt" (impacts_of r)
+
+(* header titles of the variant columns *)
+let title = function
+  | ("unopt" | "opt") as v -> String.capitalize_ascii v ^ "."
+  | v -> String.capitalize_ascii v
 
 let pp ppf (t : t) =
+  let cols = Core.Pipeline.variant_names in
   Fmt.pf ppf "%s (%d runs)@." t.title t.runs;
-  Fmt.pf ppf "%-6s %-9s | %10s %8s %8s %8s %8s %8s | %s@." "Device" "Dataset"
-    "Ref." "Unopt." "Opt." "Reuse" "Pack" "Impact"
-    "Paper (Ref/Unopt/Opt/Impact)";
+  Fmt.pf ppf "%-6s %-9s | %10s%s %8s | %s@." "Device" "Dataset" "Ref."
+    (String.concat "" (List.map (fun v -> Fmt.str " %8s" (title v)) cols))
+    "Impact" "Paper (Ref/Unopt/Opt/Impact)";
   Fmt.pf ppf "%s@." (String.make 117 '-');
   List.iter
     (fun r ->
@@ -68,19 +60,18 @@ let pp ppf (t : t) =
             Printf.sprintf "%gms / %.2fx / %.2fx / %.2fx" rm u o i
         | None -> "-"
       in
-      Fmt.pf ppf
-        "%-6s %-9s | %8.2fms %7.2fx %7.2fx %7.2fx %7.2fx %7.2fx | %s@."
-        r.device r.dataset r.ref_ms r.unopt_rel r.opt_rel r.reuse_rel
-        r.pack_rel r.impact paper)
+      Fmt.pf ppf "%-6s %-9s | %8.2fms%s %7.2fx | %s@." r.device r.dataset
+        (r.ref_s *. 1e3)
+        (String.concat ""
+           (List.map (fun (_, x) -> Printf.sprintf " %7.2fx" x) (rels r)))
+        (impact r) paper)
     t.rows
 
 let to_string t = Fmt.str "%a" pp t
 
 (* Shape checks used by the test-suite: the qualitative claims of the
    paper's evaluation that must survive the simulation substitution. *)
-let impacts t = List.map (fun r -> r.impact) t.rows
-let reuse_impacts t = List.map (fun r -> r.reuse_impact) t.rows
-let pack_impacts t = List.map (fun r -> r.pack_impact) t.rows
+let impacts t = List.map impact t.rows
 
 let min_impact t = List.fold_left Float.min infinity (impacts t)
 let max_impact t = List.fold_left Float.max neg_infinity (impacts t)

@@ -543,7 +543,10 @@ let pairwise_threads_disjoint ctx (nest : (string * P.t) list) w : bool =
   let rec cases = function
     | [] -> true
     | (v, cnt) :: rest ->
-        let jv = Ir.Names.fresh "lint_othr" in
+        (* the other thread's index is named deterministically, in a
+           namespace neither the lexer nor Ir.Names can produce, so the
+           same query repeats verbatim and hits the prover memo *)
+        let jv = "lint#othr_" ^ v in
         let w_self = expand_rest w rest in
         let w_other = expand_rest (Refset.subst v (P.var jv) w) rest in
         let ctx_lt =

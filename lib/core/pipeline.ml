@@ -7,10 +7,13 @@
        -> last-use analysis (footnote 18)
        -> array short-circuiting (section V)
 
-   [compile] produces both the unoptimized (memory-introduced, hoisted)
-   and the optimized (short-circuited) variants of a program, plus pass
-   statistics and compile times, so benchmarks can compare the two and
-   reproduce the compile-time-overhead observation of section V-D. *)
+   followed by memory-block reuse and arena packing.  [compile] runs
+   the chain once and keeps one variant per rung of the ladder - unopt
+   (memory-introduced, hoisted), opt (short-circuited), reuse and pack
+   - plus pass statistics and compile times, so benchmarks can compare
+   the variants and reproduce the compile-time-overhead observation of
+   section V-D.  [variants] is the one list of the rungs' names and
+   order. *)
 
 open Ir.Ast
 
@@ -65,36 +68,7 @@ let compile ?(options = Shortcircuit.default_options)
     ?(reuse = Reuse.default_options) ?(pack = Pack.default_options)
     ?(rounds = 2) ?(lint = false) ?(certify = false) ?(fail_safe = false)
     (p : prog) : compiled =
-  (* With ~lint:true the memory linter runs after every pass of the
-     optimized build; the first stage whose report errors is the pass
-     that introduced the violation (earlier stages were clean). *)
-  let reports = ref [] in
-  let lint_after stage q =
-    if lint then reports := (stage, Memlint.check ~stage q) :: !reports
-  in
-  (* With ~certify:true each rewriting pass records its proof
-     obligations, which the independent checker re-derives against the
-     pass's own before/after pair - before cleanup, so the claims refer
-     to programs in which orphaned allocations still exist. *)
-  let certs = ref [] in
-  let recorder pass = if certify then Some (Certify.recorder ~pass) else None in
-  let check_cert pass cert ~pre ~post =
-    match cert with
-    | None -> None
-    | Some r ->
-        if Chaos.forging pass then Chaos.forge r;
-        let report = Certify.check ~pass ~pre ~post (Certify.obligations r) in
-        certs := (pass, report) :: !certs;
-        Some report
-  in
-  (* The degradation ladder (~fail_safe:true).  Each variant beyond
-     [unopt] is built as one containment unit running on a private
-     clone of the previous rung: a crashing pass, an erroring lint
-     report, or a refuted certificate discards the unit's output,
-     records the fault and the rung fallen back to, and the compile
-     continues - pack -> reuse -> opt -> unopt, so every variant in
-     [compiled] is populated even when its pass failed. *)
-  let recov = ref [] in
+  let reports = ref [] and certs = ref [] and recov = ref [] in
   let prover0 = (Symalg.Prover.stats ()).budget_exhausted in
   let crash_guard pass f =
     if not fail_safe then f ()
@@ -103,6 +77,55 @@ let compile ?(options = Shortcircuit.default_options)
       | Fault.Fault _ as e -> raise e
       | e -> Fault.fail (Fault.Pass_crash { pass; exn = Printexc.to_string e })
   in
+  (* With ~lint:true the memory linter runs at every lint stage; the
+     first stage whose report errors is the pass that introduced the
+     violation (earlier stages were clean). *)
+  let checkpoint stage q =
+    if lint then begin
+      let r = Memlint.check ~stage q in
+      reports := (stage, r) :: !reports;
+      match Memlint.errors r with
+      | v :: _ when fail_safe ->
+          let violation = Fmt.str "%a" Memlint.pp_violation v in
+          Fault.fail (Fault.Lint_reject { pass = stage; violation })
+      | _ -> ()
+    end
+  in
+  (* One pass instance.  With ~certify:true the pass records its proof
+     obligations, which the independent checker re-derives against the
+     pass's own before/after pair - before cleanup, so the claims refer
+     to programs in which orphaned allocations still exist.  [clock]
+     accumulates the pass's own running time. *)
+  let step ?stage ?(clock = ref 0.) pass f q =
+    let cert =
+      if certify then Some (Certify.recorder ~pass, Ir.Clone.clone_prog q)
+      else None
+    in
+    let (q, x), dt =
+      timed (fun () -> crash_guard pass (fun () -> f (Option.map fst cert) q))
+    in
+    clock := !clock +. dt;
+    Option.iter (fun stage -> checkpoint stage q) stage;
+    Option.iter
+      (fun (r, pre) ->
+        if Chaos.forging pass then Chaos.forge r;
+        let report = Certify.check ~pass ~pre ~post:q (Certify.obligations r) in
+        certs := (pass, report) :: !certs;
+        match Certify.failures report with
+        | c :: _ when fail_safe ->
+            Fault.fail
+              (Fault.Cert_refuted
+                 { pass; obligation = Fmt.str "%a" Certify.pp_checked c })
+        | _ -> ())
+      cert;
+    (q, x)
+  in
+  (* The degradation ladder (~fail_safe:true).  Each variant is built
+     as one containment unit: a crashing pass, an erroring lint report,
+     or a refuted certificate discards the unit's output, records the
+     fault and the rung fallen back to, and the compile continues -
+     pack -> reuse -> opt -> unopt, so every variant in [compiled] is
+     populated even when its pass failed. *)
   let contain ~fb_name ~fallback f =
     if not fail_safe then f ()
     else
@@ -113,167 +136,87 @@ let compile ?(options = Shortcircuit.default_options)
           :: !recov;
         fallback ()
   in
-  let lint_guard pass =
-    if fail_safe && lint then
-      match !reports with
-      | (stage, r) :: _ when stage = pass -> (
-          match Memlint.errors r with
-          | v :: _ ->
-              Fault.fail
-                (Fault.Lint_reject
-                   { pass; violation = Fmt.str "%a" Memlint.pp_violation v })
-          | [] -> ())
-      | _ -> ()
+  (* A rung beyond [unopt] runs on a private clone of the rung below,
+     and falls back to another clone of it with [empty] statistics. *)
+  let rung (below, prev) ~empty f =
+    contain ~fb_name:below
+      ~fallback:(fun () -> (Ir.Clone.clone_prog prev, empty ()))
+      (fun () -> f (Ir.Clone.clone_prog prev))
   in
-  let cert_guard pass = function
-    | Some report when fail_safe -> (
-        match Certify.failures report with
-        | c :: _ ->
-            Fault.fail
-              (Fault.Cert_refuted
-                 { pass; obligation = Fmt.str "%a" Certify.pp_checked c })
-        | [] -> ())
-    | _ -> ()
+  let cleanup ~stage pass q =
+    step ~stage pass (fun cert -> Cleanup.run ?cert) q
   in
-  let unopt, time_base = timed (fun () -> to_memory_ir p) in
-  let opt_base =
+  (* reuse and pack refresh liveness before their certificate is checked *)
+  let relive (q, st) =
+    ignore (Lastuse.annotate q);
+    (q, st)
+  in
+  let time_base = ref 0. and time_sc = ref 0. in
+  let time_reuse = ref 0. and time_pack = ref 0. in
+  (* first variant: memory introduction, hoisting and last-use, run once
+     and certified; the uncertified [to_memory_ir] is its fallback *)
+  let unopt =
     contain ~fb_name:"unopt"
-      ~fallback:(fun () -> Ir.Clone.clone_prog unopt)
+      ~fallback:(fun () -> to_memory_ir p)
       (fun () ->
-        let q0 = Ir.Clone.clone_prog p in
-        let mi_cert = recorder "memintro" in
-        let mi_pre = if certify then Some (Ir.Clone.clone_prog q0) else None in
-        let q =
-          crash_guard "memintro" (fun () -> Memintro.introduce ?cert:mi_cert q0)
+        let q, () =
+          step ~stage:"memintro" ~clock:time_base "memintro"
+            (fun cert q -> (Memintro.introduce ?cert q, ()))
+            (Ir.Clone.clone_prog p)
         in
-        lint_after "memintro" q;
-        lint_guard "memintro";
-        (match mi_pre with
-        | Some pre ->
-            cert_guard "memintro" (check_cert "memintro" mi_cert ~pre ~post:q)
-        | None -> ());
-        let h_cert = recorder "hoist" in
-        let h_pre = if certify then Some (Ir.Clone.clone_prog q) else None in
-        let q = crash_guard "hoist" (fun () -> Hoist.hoist ?cert:h_cert q) in
-        lint_after "hoist" q;
-        lint_guard "hoist";
-        (match h_pre with
-        | Some pre -> cert_guard "hoist" (check_cert "hoist" h_cert ~pre ~post:q)
-        | None -> ());
+        let q, () =
+          step ~stage:"hoist" ~clock:time_base "hoist"
+            (fun cert q -> (Hoist.hoist ?cert q, ()))
+            q
+        in
         ignore (Lastuse.annotate q);
-        lint_after "lastuse" q;
-        lint_guard "lastuse";
+        checkpoint "lastuse" q;
         q)
   in
-  let time_sc = ref 0. and time_reuse = ref 0. and time_pack = ref 0. in
   (* second variant: short-circuiting plus a cleanup round removing the
      allocations it orphaned *)
-  let opt, stats, dead_allocs =
-    contain ~fb_name:"unopt"
-      ~fallback:(fun () ->
-        (Ir.Clone.clone_prog opt_base, Shortcircuit.fresh_stats (), 0))
-      (fun () ->
-        let q = if fail_safe then Ir.Clone.clone_prog opt_base else opt_base in
-        let sc_cert = recorder "shortcircuit" in
-        let sc_pre = if certify then Some (Ir.Clone.clone_prog q) else None in
-        let (q, st), dt =
-          timed (fun () ->
-              crash_guard "shortcircuit" (fun () ->
-                  Shortcircuit.optimize ~options ~rounds ?cert:sc_cert q))
+  let opt, (stats, dead_allocs) =
+    rung ("unopt", unopt)
+      ~empty:(fun () -> (Shortcircuit.fresh_stats (), 0))
+      (fun q ->
+        let q, st =
+          step ~stage:"shortcircuit" ~clock:time_sc "shortcircuit"
+            (fun cert -> Shortcircuit.optimize ~options ~rounds ?cert)
+            q
         in
-        time_sc := dt;
-        lint_after "shortcircuit" q;
-        lint_guard "shortcircuit";
-        (match sc_pre with
-        | Some pre ->
-            cert_guard "shortcircuit"
-              (check_cert "shortcircuit" sc_cert ~pre ~post:q)
-        | None -> ());
-        let cl_cert = recorder "cleanup" in
-        let cl_pre = if certify then Some (Ir.Clone.clone_prog q) else None in
-        let q, n =
-          crash_guard "cleanup" (fun () -> Cleanup.run ?cert:cl_cert q)
-        in
-        lint_after "cleanup" q;
-        lint_guard "cleanup";
-        (match cl_pre with
-        | Some pre ->
-            cert_guard "cleanup" (check_cert "cleanup" cl_cert ~pre ~post:q)
-        | None -> ());
-        (q, st, n))
+        let q, n = cleanup ~stage:"cleanup" "cleanup" q in
+        (q, (st, n)))
   in
-  (* third variant: memory-block reuse on a private clone of the
-     short-circuited program, followed by a liveness refresh and a
-     cleanup round to collect the allocations the pass orphaned; the
-     second cleanup round gets its own pass name so the two rounds
-     stay distinguishable in reports and the certificate baseline *)
-  let reuse_p, reuse_stats, reuse_dead_allocs =
-    contain ~fb_name:"opt"
-      ~fallback:(fun () -> (Ir.Clone.clone_prog opt, Reuse.fresh_stats (), 0))
-      (fun () ->
-        let q = Ir.Clone.clone_prog opt in
-        let re_cert = recorder "reuse" in
-        let re_pre = if certify then Some (Ir.Clone.clone_prog q) else None in
-        let (q, rst), dt =
-          timed (fun () ->
-              crash_guard "reuse" (fun () ->
-                  let q, rst = Reuse.optimize ~options:reuse ?cert:re_cert q in
-                  ignore (Lastuse.annotate q);
-                  (q, rst)))
+  (* third variant: memory-block reuse, then a cleanup round collecting
+     the allocations the pass orphaned; the later cleanup rounds get
+     their own pass names so the rounds stay distinguishable in reports
+     and the certificate baseline *)
+  let reuse_p, (reuse_stats, reuse_dead_allocs) =
+    rung ("opt", opt)
+      ~empty:(fun () -> (Reuse.fresh_stats (), 0))
+      (fun q ->
+        let q, st =
+          step ~clock:time_reuse "reuse"
+            (fun cert q -> relive (Reuse.optimize ~options:reuse ?cert q))
+            q
         in
-        time_reuse := dt;
-        (match re_pre with
-        | Some pre -> cert_guard "reuse" (check_cert "reuse" re_cert ~pre ~post:q)
-        | None -> ());
-        let clr_cert = recorder "cleanup-reuse" in
-        let clr_pre = if certify then Some (Ir.Clone.clone_prog q) else None in
-        let q, n =
-          crash_guard "cleanup-reuse" (fun () -> Cleanup.run ?cert:clr_cert q)
-        in
-        lint_after "reuse" q;
-        lint_guard "reuse";
-        (match clr_pre with
-        | Some pre ->
-            cert_guard "cleanup-reuse"
-              (check_cert "cleanup-reuse" clr_cert ~pre ~post:q)
-        | None -> ());
-        (q, rst, n))
+        let q, n = cleanup ~stage:"reuse" "cleanup-reuse" q in
+        (q, (st, n)))
   in
   (* fourth variant: offset-based packing of the blocks surviving
-     reuse, on a private clone, again followed by a liveness refresh
-     and a cleanup round collecting the member allocations the arenas
-     absorbed *)
-  let pack_p, pack_stats, pack_dead_allocs =
-    contain ~fb_name:"reuse"
-      ~fallback:(fun () -> (Ir.Clone.clone_prog reuse_p, Pack.fresh_stats (), 0))
-      (fun () ->
-        let q = Ir.Clone.clone_prog reuse_p in
-        let pk_cert = recorder "pack" in
-        let pk_pre = if certify then Some (Ir.Clone.clone_prog q) else None in
-        let (q, pst), dt =
-          timed (fun () ->
-              crash_guard "pack" (fun () ->
-                  let q, pst = Pack.optimize ~options:pack ?cert:pk_cert q in
-                  ignore (Lastuse.annotate q);
-                  (q, pst)))
+     reuse, then a cleanup round collecting the member allocations the
+     arenas absorbed *)
+  let pack_p, (pack_stats, pack_dead_allocs) =
+    rung ("reuse", reuse_p)
+      ~empty:(fun () -> (Pack.fresh_stats (), 0))
+      (fun q ->
+        let q, st =
+          step ~clock:time_pack "pack"
+            (fun cert q -> relive (Pack.optimize ~options:pack ?cert q))
+            q
         in
-        time_pack := dt;
-        (match pk_pre with
-        | Some pre -> cert_guard "pack" (check_cert "pack" pk_cert ~pre ~post:q)
-        | None -> ());
-        let clp_cert = recorder "cleanup-pack" in
-        let clp_pre = if certify then Some (Ir.Clone.clone_prog q) else None in
-        let q, n =
-          crash_guard "cleanup-pack" (fun () -> Cleanup.run ?cert:clp_cert q)
-        in
-        lint_after "pack" q;
-        lint_guard "pack";
-        (match clp_pre with
-        | Some pre ->
-            cert_guard "cleanup-pack"
-              (check_cert "cleanup-pack" clp_cert ~pre ~post:q)
-        | None -> ());
-        (q, pst, n))
+        let q, n = cleanup ~stage:"pack" "cleanup-pack" q in
+        (q, (st, n)))
   in
   let prover_exhausted =
     (Symalg.Prover.stats ()).budget_exhausted - prover0
@@ -298,7 +241,7 @@ let compile ?(options = Shortcircuit.default_options)
     dead_allocs;
     reuse_dead_allocs;
     pack_dead_allocs;
-    time_base;
+    time_base = !time_base;
     time_sc = !time_sc;
     time_reuse = !time_reuse;
     time_pack = !time_pack;
@@ -307,6 +250,21 @@ let compile ?(options = Shortcircuit.default_options)
     recovery = List.rev !recov;
     prover_exhausted;
   }
+
+(* The variant ladder, in order: the one list of the variants' names. *)
+let ladder =
+  [
+    ("unopt", fun c -> c.unopt);
+    ("opt", fun c -> c.opt);
+    ("reuse", fun c -> c.reuse);
+    ("pack", fun c -> c.pack);
+  ]
+
+let variant_names = List.map fst ladder
+
+(* Every variant of a compile, named, in ladder order. *)
+let variants (c : compiled) : (string * prog) list =
+  List.map (fun (name, get) -> (name, get c)) ladder
 
 (* The first stage whose lint report errors: the pass that introduced
    the first violation. *)

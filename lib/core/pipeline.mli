@@ -88,15 +88,29 @@ val compile :
     land in {!compiled.certs}, so a failed obligation names the pass
     and rewrite that introduced it.
 
+    Memory introduction, hoisting and last-use run once: their output
+    is [unopt] and the base every further variant is built on.  Each
+    variant beyond [unopt] is built on a private clone of the previous
+    rung.
+
     With [~fail_safe:true] the compile runs the {e degradation ladder}:
-    each variant beyond [unopt] is built on a private clone of the
-    previous rung, and a crashing pass, an erroring lint report (when
-    linting), or a refuted certificate (when certifying) discards that
-    unit's output and falls back - pack -> reuse -> opt -> unopt -
-    recording the fault and fallback in {!compiled.recovery} instead
-    of aborting the compile.  Prover-budget exhaustion (a skipped
+    a crashing pass, an erroring lint report (when linting), or a
+    refuted certificate (when certifying) discards that unit's output
+    and falls back - pack -> reuse -> opt -> unopt, and the certified
+    [unopt] unit to the uncertified {!to_memory_ir} - recording the
+    fault and fallback in {!compiled.recovery} instead of aborting the
+    compile.  Prover-budget exhaustion (a skipped
     rewrite, never an abort) is likewise summarized as a
     {!Fault.Prover_budget} recovery entry. *)
+
+val variant_names : string list
+(** The names of the variant ladder, in order:
+    [["unopt"; "opt"; "reuse"; "pack"]]. *)
+
+val variants : compiled -> (string * Ir.Ast.prog) list
+(** Every variant of a compile, paired with its name, in
+    {!variant_names} order.  Consumers iterate this list instead of
+    naming the record fields. *)
 
 val first_lint_error :
   (string * Memlint.report) list -> (string * Memlint.violation) option

@@ -9,10 +9,10 @@ module R = Benchsuite.Runner
 module V = Ir.Value
 
 let check_validation name (v : R.validation) =
-  Alcotest.(check bool) (name ^ ": unopt = interp") true v.R.ok_unopt;
-  Alcotest.(check bool) (name ^ ": opt = interp") true v.R.ok_opt;
-  Alcotest.(check bool) (name ^ ": reuse = interp") true v.R.ok_reuse;
-  Alcotest.(check bool) (name ^ ": pack = interp") true v.R.ok_pack
+  List.iter
+    (fun (variant, ok) ->
+      Alcotest.(check bool) (name ^ ": " ^ variant ^ " = interp") true ok)
+    v.R.ok
 
 let check_oracle name out expect =
   match out with
@@ -134,24 +134,24 @@ let test_table_shape () =
   Alcotest.(check bool) "all hotspot circuits fire" true
     (let st = o.R.compiled.Core.Pipeline.stats in
      st.Core.Shortcircuit.succeeded = st.Core.Shortcircuit.candidates);
+  (* [f] holds between two variants' footprints on every dataset *)
+  let holds below above f =
+    List.for_all
+      (fun (_, fs) -> f (List.assoc below fs) (List.assoc above fs))
+      o.R.footprints
+  in
   Alcotest.(check bool) "footprint shrinks" true
-    (List.for_all
-       (fun (_, u, opt, _, _) ->
+    (holds "unopt" "opt" (fun u opt ->
          opt.R.f_alloc_bytes < u.R.f_alloc_bytes
-         && opt.R.f_peak_bytes < u.R.f_peak_bytes)
-       o.R.footprints);
+         && opt.R.f_peak_bytes < u.R.f_peak_bytes));
   Alcotest.(check bool) "reuse shrinks further (hotspot rotation)" true
-    (List.for_all
-       (fun (_, _, opt, reuse, _) ->
+    (holds "opt" "reuse" (fun opt reuse ->
          reuse.R.f_allocs < opt.R.f_allocs
-         && reuse.R.f_peak_bytes < opt.R.f_peak_bytes)
-       o.R.footprints);
+         && reuse.R.f_peak_bytes < opt.R.f_peak_bytes));
   Alcotest.(check bool) "packing never grows allocs or peak" true
-    (List.for_all
-       (fun (_, _, _, reuse, pack) ->
+    (holds "reuse" "pack" (fun reuse pack ->
          pack.R.f_allocs <= reuse.R.f_allocs
-         && pack.R.f_peak_bytes <= reuse.R.f_peak_bytes)
-       o.R.footprints)
+         && pack.R.f_peak_bytes <= reuse.R.f_peak_bytes))
 
 (* ---------------------------------------------------------------- *)
 (* The bench-trajectory gate (Benchjson)                             *)

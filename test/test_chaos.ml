@@ -172,6 +172,35 @@ let test_forge_contained () =
         "degraded results bit-equal to the interpreter" true
         (pack_matches_interp cpl prog (args_n 4)))
 
+(* A forged memory-introduction certificate refutes the certified
+   unopt unit: the compile falls back to the uncertified
+   Pipeline.to_memory_ir and still builds every later rung on it. *)
+let test_forge_memintro_falls_back () =
+  let prog = Benchsuite.Nw.prog and args = Benchsuite.Nw.small_args ~q:2 ~b:3 in
+  Chaos.arm_forge ~pass:"memintro";
+  let cpl =
+    Fun.protect ~finally:Chaos.disarm (fun () ->
+        Pipeline.compile ~certify:true ~fail_safe:true prog)
+  in
+  Alcotest.(check (list (triple string string string)))
+    "the only recovery is memintro -> unopt"
+    [ ("cert-refuted", "memintro", "unopt") ]
+    (List.map
+       (fun (r : Pipeline.recovery) ->
+         (Fault.layer r.Pipeline.r_fault, r.Pipeline.r_pass,
+          r.Pipeline.r_fallback))
+       cpl.Pipeline.recovery);
+  Alcotest.(check (list string)) "the ladder's variants"
+    [ "unopt"; "opt"; "reuse"; "pack" ]
+    (List.map fst (Pipeline.variants cpl));
+  let expect = Ir.Interp.run prog args in
+  List.iter
+    (fun (v, p) ->
+      let r = Exec.run ~mode:Exec.Full p args in
+      Alcotest.(check bool) (v ^ " matches the interpreter") true
+        (List.for_all2 (Value.approx_equal ~eps:1e-6) expect r.Exec.results))
+    (Pipeline.variants cpl)
+
 let test_fail_fast_propagates () =
   Chaos.arm_crash ~pass:"shortcircuit" ~at:1;
   Fun.protect ~finally:Chaos.disarm (fun () ->
@@ -353,6 +382,8 @@ let tests =
       test_crash_contained_and_blamed;
     Alcotest.test_case "forged certificate contained" `Quick
       test_forge_contained;
+    Alcotest.test_case "forged memintro certificate falls back" `Quick
+      test_forge_memintro_falls_back;
     Alcotest.test_case "fail-fast propagates the pass bug" `Quick
       test_fail_fast_propagates;
     Alcotest.test_case "executor OOM degrades to unpooled" `Quick

@@ -533,7 +533,7 @@ let prop_nw_random_sizes =
     (fun (q, b) ->
       let args = Benchsuite.Nw.small_args ~q ~b in
       let v = Benchsuite.Runner.validate Benchsuite.Nw.prog args in
-      v.Benchsuite.Runner.ok_unopt && v.Benchsuite.Runner.ok_opt
+      Benchsuite.Runner.all_ok v
       && v.Benchsuite.Runner.copies_opt = 0)
 
 let tests =

@@ -231,6 +231,31 @@ let test_lud_no_warnings () =
         [] (pp (ML.warnings r)))
     compiled.Core.Pipeline.lint
 
+(* Regression: the write-race rule names the other thread's index
+   deterministically, so its prover queries repeat verbatim and hit the
+   memo.  With fresh names every query missed and NW's race proofs ran
+   into the prover deadline as warnings.  All four variants lint with
+   no warnings, and linting again after the name counter has moved on
+   gives identical reports. *)
+let test_nw_race_rule_deterministic () =
+  let variants =
+    Core.Pipeline.variants (Core.Pipeline.compile Benchsuite.Nw.prog)
+  in
+  let lint () = List.map (fun (v, p) -> ML.check ~stage:v p) variants in
+  let first = lint () in
+  List.iter
+    (fun (r : ML.report) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "nw %s: no warnings" r.ML.stage)
+        []
+        (List.map (fun v -> Fmt.str "%a" ML.pp_violation v) r.ML.violations))
+    first;
+  for _ = 1 to 1000 do
+    ignore (Names.fresh "advance")
+  done;
+  Alcotest.(check bool) "reports identical after advancing Ir.Names" true
+    (lint () = first)
+
 (* A pre-memory program is vacuously clean. *)
 let test_unannotated_clean () =
   let r = ML.check (base_fill ()) in
@@ -253,4 +278,6 @@ let tests =
       test_benchmarks_clean;
     Alcotest.test_case "lud: zero warnings (triangular bounds)" `Slow
       test_lud_no_warnings;
+    Alcotest.test_case "nw: race rule deterministic, zero warnings" `Slow
+      test_nw_race_rule_deterministic;
   ]

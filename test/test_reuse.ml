@@ -188,7 +188,8 @@ let test_chain_coalesces () =
     (reuse_c.Device.peak_bytes < opt_c.Device.peak_bytes);
   (* the coalesced program still computes a+3 everywhere *)
   let v = R.validate ~compiled:cpl (chain_prog ()) (chain_args 8) in
-  Alcotest.(check bool) "chain: reuse = interp" true v.R.ok_reuse
+  Alcotest.(check bool) "chain: reuse = interp" true
+    (List.assoc "reuse" v.R.ok)
 
 (* No legal coalescing on the overlapping program: the pass must
    refuse, and the footprint is simply unchanged. *)
@@ -201,7 +202,8 @@ let test_overlap_untouched () =
   Alcotest.(check int) "allocs unchanged" (total_allocs opt_c)
     (total_allocs reuse_c);
   let v = R.validate ~compiled:cpl (overlap_prog ()) (chain_args 8) in
-  Alcotest.(check bool) "overlap: reuse = interp" true v.R.ok_reuse
+  Alcotest.(check bool) "overlap: reuse = interp" true
+    (List.assoc "reuse" v.R.ok)
 
 (* ---------------------------------------------------------------- *)
 (* Mutation: a coalescing with overlapping live ranges is rejected   *)
@@ -286,7 +288,8 @@ let test_hoist_fires () =
   Alcotest.(check bool) "lower peak" true
     (reuse_c.Device.peak_bytes < opt_c.Device.peak_bytes);
   let v = R.validate ~compiled:cpl (hoist_prog ()) (chain_args 8) in
-  Alcotest.(check bool) "hoist: reuse = interp" true v.R.ok_reuse
+  Alcotest.(check bool) "hoist: reuse = interp" true
+    (List.assoc "reuse" v.R.ok)
 
 let test_hoist_refuses_escape () =
   let cpl, opt_c, reuse_c =
@@ -298,7 +301,8 @@ let test_hoist_refuses_escape () =
   Alcotest.(check int) "allocs unchanged" (total_allocs opt_c)
     (total_allocs reuse_c);
   let v = R.validate ~compiled:cpl (escape_prog ()) (chain_args 8) in
-  Alcotest.(check bool) "escape: reuse = interp" true v.R.ok_reuse
+  Alcotest.(check bool) "escape: reuse = interp" true
+    (List.assoc "reuse" v.R.ok)
 
 let test_sibling_hoists_coalesce () =
   let cpl, opt_c, reuse_c =
@@ -314,7 +318,8 @@ let test_sibling_hoists_coalesce () =
   Alcotest.(check bool) "lower peak" true
     (reuse_c.Device.peak_bytes < opt_c.Device.peak_bytes);
   let v = R.validate ~compiled:cpl (sibling_prog ()) (chain_args 8) in
-  Alcotest.(check bool) "sibling: reuse = interp" true v.R.ok_reuse
+  Alcotest.(check bool) "sibling: reuse = interp" true
+    (List.assoc "reuse" v.R.ok)
 
 (* LUD's interior temporary shrinks with the step index; hoisting
    generalizes its size to the iteration maximum (a prover obligation)
@@ -371,7 +376,8 @@ let reuse_verified prog args =
   | None -> ()
   | Some (stage, v) ->
       QCheck.Test.fail_reportf "memlint (%s): %a" stage ML.pp_violation v);
-  let _, o, r = R.trace_check3 ~compiled prog args in
+  let ts = R.trace_check ~compiled prog args in
+  let o = List.assoc "opt" ts and r = List.assoc "reuse" ts in
   if not (MT.ok r.R.check) then
     QCheck.Test.fail_reportf "memtrace (reuse): %a" MT.pp_report r.R.check;
   (match Core.Trace.diff o.R.trace r.R.trace with
