@@ -223,6 +223,7 @@ let fp_monotone = [ "allocs"; "peak_bytes"; "traffic_bytes" ]
    only shrink - the planner must not silently lose coverage *)
 let pack_grow = [ "arenas"; "packed"; "holes" ]
 let pack_shrink = [ "unpacked" ]
+let prover_work = [ "sat_misses"; "nonneg_misses"; "budget_exhausted" ]
 
 let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
     gate =
@@ -365,6 +366,22 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
               | _ -> ())
             pack_shrink)
     base_b;
+  (* prover work: search counts, the gated proxy for the toolchain's
+     own compile time - more searches means a slower compile *)
+  List.iter
+    (fun field ->
+      match
+        ( num_at [ "prover"; field ] baseline,
+          num_at [ "prover"; field ] current )
+      with
+      | Some b, Some c ->
+          incr checked;
+          if c > b then reg "prover.%s rose %g -> %g" field b c
+          else if c < b then
+            note "prover.%s fell %g -> %g - consider refreshing the baseline"
+              field b c
+      | _ -> ())
+    prover_work;
   List.iter
     (fun cb ->
       let cname = name_of cb in

@@ -93,6 +93,9 @@ val gate : ?tolerance:float -> baseline:t -> current:t -> unit -> gate
       ground: [arenas], [packed] and [holes] (certified lifetime
       holes) may only grow, [unpacked] (undecidable placements) may
       only shrink;
+    - the top-level [prover] object's work counters ([sat_misses],
+      [nonneg_misses], [budget_exhausted]) may not rise: they count
+      work, not time, so they stand in for the prover's wall time;
     - a benchmark present in the baseline must stay present.
 
     Improvements beyond tolerance and new benchmarks are notes. *)

@@ -119,7 +119,9 @@ type prog = {
   ret : typ list;
   ctx : Symalg.Prover.t;
       (* size assumptions (e.g. n = q*b + 1, q >= 2) available to the
-         index analysis; dynamically checked by callers of the program *)
+         index analysis; dynamically checked by callers of the program.
+         It caches a prover memo id, so compare programs field by field
+         with [Symalg.Prover.equal] for this one, never with [=] *)
 }
 
 (* ---------------------------------------------------------------- *)

@@ -21,9 +21,16 @@ end
 
 type t
 (** A proof context: equality rewrites [v := p] plus per-variable
-    inclusive bounds (themselves polynomials). *)
+    inclusive bounds (themselves polynomials).  A context caches its
+    memo identity (see the memoization section below), so polymorphic
+    [=], [compare] and [Hashtbl.hash] on [t] (or on values holding one,
+    such as a program) are not meaningful: use {!equal}. *)
 
 val empty : t
+
+val equal : t -> t -> bool
+(** Same recorded facts: equal rewrite rules and bounds, polynomials
+    compared by normal form.  The memo identity plays no part. *)
 
 val add_eq : t -> string -> Poly.t -> t
 (** [add_eq ctx v p] records the rewrite [v := p]; e.g. the NW proof of
@@ -106,11 +113,29 @@ val pp : Format.formatter -> t -> unit
 (** {1 Memoization limits and statistics}
 
     The prover keeps two memo tables: saturated contexts and decided
-    nonnegativity obligations.  Each is flushed wholesale when it
-    outgrows its cap (bounded residency beats an eviction policy for
-    the bursty obligation streams the pipeline produces). *)
+    nonnegativity obligations, the latter keyed by the full proof state
+    [(context, depth, shifted variables, polynomial)].  Both key the
+    context by an {e interned id}: on its first memo use a context is
+    hashed deeply and looked up by structural comparison in an intern
+    table, and the id found or issued is cached on the value, so later
+    lookups hash and compare one int.  Identity follows content: two
+    contexts built by the same steps get the same id wherever they were
+    built, so memo entries are shared across passes.  (Contexts with
+    equal facts built in a different order may get different ids: a
+    missed hit, never a wrong answer.)
+
+    When a table outgrows its cap, the two memos and the intern table
+    are flushed together (bounded residency beats an eviction policy
+    for the bursty obligation streams the pipeline produces).  Ids are
+    never reused, and a flush starts a new generation: an id cached
+    before it is stale and its context is interned afresh, so it can
+    neither match another context nor split one content into two live
+    ids.  Ids are never printed or iterated. *)
 
 type limits = { sat_cap : int; nonneg_cap : int }
+(** The intern table holds at most [sat_cap + nonneg_cap] contexts (the
+    nonneg cap as overridden by {!budget}[.b_memo]); overflowing it is
+    counted as a nonneg reset. *)
 
 val default_limits : limits
 (** [{ sat_cap = 50_000; nonneg_cap = 500_000 }] - the former

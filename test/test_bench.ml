@@ -63,6 +63,47 @@ let test_lud () =
     (Ir.Interp.run c.Core.Pipeline.source args)
     (Benchsuite.Lud.small_direct ~q ~b)
 
+(* Flushing the prover's memo and intern tables almost constantly must
+   change no verdict: the memos only cache answers, and an id cached
+   before a flush must never match a context interned after it.  Work
+   counters (overlap checks, prover misses) do change: without the memo
+   some searches run into the non-overlap deadline. *)
+let test_lud_flush_safety () =
+  let module Pr = Symalg.Prover in
+  let verdicts () =
+    let c = Core.Pipeline.compile ~certify:true Benchsuite.Lud.prog in
+    let certs =
+      List.map
+        (fun (pass, (r : Core.Certify.report)) ->
+          (pass, r.emitted, r.proved, r.concretized, r.failed))
+        c.Core.Pipeline.certs
+    in
+    let st = c.Core.Pipeline.stats and rs = c.Core.Pipeline.reuse_stats in
+    let ps = c.Core.Pipeline.pack_stats in
+    ( c,
+      ( (st.candidates, st.succeeded, st.rebased_vars),
+        (rs.Core.Reuse.coalesced, rs.chain_links, rs.rotated, rs.hoisted),
+        (ps.Core.Pack.arenas, ps.packed, ps.unpacked, ps.holes),
+        ( c.Core.Pipeline.dead_allocs,
+          c.Core.Pipeline.reuse_dead_allocs,
+          c.Core.Pipeline.pack_dead_allocs ),
+        certs ) )
+  in
+  let _, expect = verdicts () in
+  let c, got =
+    Fun.protect
+      ~finally:(fun () -> Pr.set_limits Pr.default_limits)
+      (fun () ->
+        Pr.set_limits { Pr.sat_cap = 1; nonneg_cap = 1 };
+        verdicts ())
+  in
+  Alcotest.(check bool) "lud: verdicts unchanged under constant flushing"
+    true (expect = got);
+  let q = 3 and b = 4 in
+  check_validation "lud (flushed)"
+    (R.validate ~compiled:c Benchsuite.Lud.prog
+       (Benchsuite.Lud.small_args ~q ~b))
+
 let test_hotspot () =
   let n = 16 and steps = 3 in
   let args = Benchsuite.Hotspot.small_args ~n ~steps in
@@ -159,7 +200,8 @@ let test_table_shape () =
 
 module BJ = Benchsuite.Benchjson
 
-let sample_record ?(traffic = 512.) ?pool ~reuse_ms ~allocs () =
+let sample_record ?(traffic = 512.) ?pool ?(nonneg_misses = 100) ~reuse_ms
+    ~allocs () =
   let pool_s =
     match pool with
     | Some (hw, cap) ->
@@ -174,8 +216,9 @@ let sample_record ?(traffic = 512.) ?pool ~reuse_ms ~allocs () =
       "footprints":[{"dataset":"d",
         "unopt":{"allocs":20,"peak_bytes":4096,"traffic_bytes":2048},
         "opt":{"allocs":5,"peak_bytes":2048,"traffic_bytes":1024},
-        "reuse":{"allocs":%d,"peak_bytes":1024,"traffic_bytes":%g%s}}]}]}|}
-    reuse_ms allocs traffic pool_s
+        "reuse":{"allocs":%d,"peak_bytes":1024,"traffic_bytes":%g%s}}]}],
+      "prover":{"sat_misses":5,"nonneg_misses":%d,"budget_exhausted":0}}|}
+    reuse_ms allocs traffic pool_s nonneg_misses
 
 let parse_exn s =
   match BJ.parse s with
@@ -245,6 +288,21 @@ let test_gate_catches_cap_breach () =
   Alcotest.(check bool) "high-water under cap passes" true
     (BJ.ok (BJ.gate ~baseline:b ~current:within ()))
 
+let test_gate_catches_prover_regression () =
+  let b = parse_exn (sample_record ~reuse_ms:4.0 ~allocs:1 ()) in
+  let worse =
+    parse_exn (sample_record ~nonneg_misses:101 ~reuse_ms:4.0 ~allocs:1 ())
+  in
+  (* prover memo misses count searches: one more is a failure *)
+  Alcotest.(check bool) "one more prover search fails" true
+    (not (BJ.ok (BJ.gate ~baseline:b ~current:worse ())));
+  let better =
+    parse_exn (sample_record ~nonneg_misses:90 ~reuse_ms:4.0 ~allocs:1 ())
+  in
+  let g = BJ.gate ~baseline:b ~current:better () in
+  Alcotest.(check bool) "fewer searches pass" true (BJ.ok g);
+  Alcotest.(check bool) "fewer searches noted" true (g.BJ.notes <> [])
+
 let test_gate_improvement_is_note () =
   let b = parse_exn (sample_record ~reuse_ms:4.0 ~allocs:2 ()) in
   let better = parse_exn (sample_record ~reuse_ms:3.0 ~allocs:1 ()) in
@@ -265,6 +323,7 @@ let tests =
   [
     Alcotest.test_case "NW end-to-end" `Quick test_nw;
     Alcotest.test_case "LUD end-to-end" `Slow test_lud;
+    Alcotest.test_case "LUD prover flush safety" `Slow test_lud_flush_safety;
     Alcotest.test_case "Hotspot end-to-end" `Quick test_hotspot;
     Alcotest.test_case "LBM end-to-end" `Quick test_lbm;
     Alcotest.test_case "OptionPricing end-to-end" `Quick test_option_pricing;
@@ -282,6 +341,8 @@ let tests =
       test_gate_catches_traffic_regression;
     Alcotest.test_case "gate: pool cap breach fails" `Quick
       test_gate_catches_cap_breach;
+    Alcotest.test_case "gate: prover work regression fails" `Quick
+      test_gate_catches_prover_regression;
     Alcotest.test_case "gate: improvement is a note" `Quick
       test_gate_improvement_is_note;
     Alcotest.test_case "gate: missing benchmark fails" `Quick

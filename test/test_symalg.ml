@@ -133,6 +133,47 @@ let test_interval () =
     true
     (lo = Pr.Ext.Fin 4 && hi = Pr.Ext.Fin 25)
 
+(* The prover memo is keyed by context content: a context rebuilt by
+   the same steps (a separate value, as when two passes derive the same
+   assumptions) reuses the first one's saturation and obligations. *)
+let test_prover_memo_content_identity () =
+  let build () =
+    Pr.add_range (Pr.add_range Pr.empty "mx" ~lo:(c 1) ()) "my" ~lo:(c 1) ()
+  in
+  (* (mx - 1)(my - 1) >= 0: not decided by interval evaluation *)
+  let p =
+    P.sum [ P.mul (v "mx") (v "my"); P.neg (v "mx"); P.neg (v "my"); c 1 ]
+  in
+  let ctx1 = build () and ctx2 = build () in
+  Alcotest.(check bool) "separate values" false (ctx1 == ctx2);
+  Alcotest.(check bool) "first query" true (Pr.prove_nonneg ctx1 p);
+  let before = Pr.stats () in
+  Alcotest.(check bool) "second query" true (Pr.prove_nonneg ctx2 p);
+  let after = Pr.stats () in
+  Alcotest.(check int) "no new saturation" before.sat_misses after.sat_misses;
+  Alcotest.(check int) "no new search" before.nonneg_misses after.nonneg_misses;
+  Alcotest.(check bool) "served from the memo" true
+    (after.nonneg_hits > before.nonneg_hits)
+
+(* [equal] compares facts: insertion order and the memo identity cached
+   by a query play no part. *)
+let test_prover_equal () =
+  let build () =
+    Pr.add_range (Pr.add_range Pr.empty "x" ~lo:(c 1) ()) "y" ~hi:(v "x") ()
+  in
+  let xy = build () in
+  let yx =
+    Pr.add_range (Pr.add_range Pr.empty "y" ~hi:(v "x") ()) "x" ~lo:(c 1) ()
+  in
+  ignore (Pr.prove_nonneg xy (P.sub (v "x") (v "y")));
+  Alcotest.(check bool) "order-independent" true (Pr.equal xy yx);
+  Alcotest.(check bool) "queried = fresh" true
+    (Pr.equal xy (build ()));
+  Alcotest.(check bool) "different bound" false
+    (Pr.equal xy (Pr.add_lo xy "x" (c 2)));
+  Alcotest.(check bool) "equality rule" false
+    (Pr.equal xy (Pr.add_eq xy "n" (c 3)))
+
 (* Randomized soundness: anything the prover claims nonneg must evaluate
    nonneg on every sampled point of the context. *)
 let test_prover_random_soundness () =
@@ -237,4 +278,7 @@ let tests =
     Alcotest.test_case "interval" `Quick test_interval;
     Alcotest.test_case "prover random soundness" `Quick
       test_prover_random_soundness;
+    Alcotest.test_case "prover memo keyed by content" `Quick
+      test_prover_memo_content_identity;
+    Alcotest.test_case "prover context equality" `Quick test_prover_equal;
   ]
