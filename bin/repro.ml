@@ -170,7 +170,7 @@ let json_escape s =
 (* The prover's memoization effectiveness and budget pressure, shared
    by BENCH.json and the combined certificate document.  A nonzero
    [budget_exhausted] means some nonnegativity queries were truncated
-   by the step/memo budget or deadline - sound (the affected rewrites
+   by the step/memo budget - sound (the affected rewrites
    were skipped) but a signal the budget is too tight for the suite. *)
 let prover_json (p : Symalg.Prover.stats) =
   let rate h m =
@@ -1107,7 +1107,8 @@ let fail_safe_term =
         ])
 
 (* [--prover-budget N] bounds the symbolic prover's work per public
-   query; exhausted queries return Undecided, so the affected rewrite
+   query (per non-overlap test, for the queries one makes); exhausted
+   queries return Undecided, so the affected rewrite
    is skipped - never an abort.  Exhaustion counts land in the stats
    and in BENCH.json's prover object. *)
 let prover_budget_term =
@@ -1117,28 +1118,15 @@ let prover_budget_term =
       & opt int (-1)
       & info [ "prover-budget" ] ~docv:"STEPS"
           ~doc:
-            "Bound the prover's nonnegativity eliminations per query at \
+            "Bound the prover's nonnegativity eliminations per query \
+             (per non-overlap test, for the queries it makes) at \
              $(docv) (-1 = unlimited, 0 = every obligation Undecided).  \
              Exhaustion soundly skips the rewrite and is counted in the \
              prover stats.")
   in
-  let deadline =
-    Arg.(
-      value
-      & opt float 0.
-      & info [ "prover-deadline" ] ~docv:"SECONDS"
-          ~doc:
-            "Wall-clock deadline per prover query (0 = none); expiring \
-             counts as budget exhaustion.")
-  in
   Term.(
-    const (fun s d ->
-        {
-          Symalg.Prover.unlimited with
-          Symalg.Prover.b_steps = s;
-          Symalg.Prover.b_deadline = d;
-        })
-    $ steps $ deadline)
+    const (fun s -> { Symalg.Prover.unlimited with Symalg.Prover.b_steps = s })
+    $ steps)
 
 let table_cmd =
   let bench_json =

@@ -525,44 +525,6 @@ let thread_writes env_outer env_body ctx ~nest ~(body : block)
     pat;
   Hashtbl.fold (fun b s l -> (b, s) :: l) tbl []
 
-(* Case-split on the first differing nest dimension, exactly like the
-   short-circuiting pass: dimensions before it coincide, it is strictly
-   smaller / strictly larger, dimensions after it range freely. *)
-let pairwise_threads_disjoint ctx (nest : (string * P.t) list) w : bool =
-  let ctx =
-    List.fold_left
-      (fun ctx (v, cnt) ->
-        Pr.add_range ctx v ~lo:P.zero ~hi:(P.sub cnt P.one) ())
-      ctx nest
-  in
-  let expand_rest rs rest =
-    List.fold_left
-      (fun acc (v, c) -> Refset.expand_loop ctx v ~count:c acc)
-      rs rest
-  in
-  let rec cases = function
-    | [] -> true
-    | (v, cnt) :: rest ->
-        (* the other thread's index is named deterministically, in a
-           namespace neither the lexer nor Ir.Names can produce, so the
-           same query repeats verbatim and hits the prover memo *)
-        let jv = "lint#othr_" ^ v in
-        let w_self = expand_rest w rest in
-        let w_other = expand_rest (Refset.subst v (P.var jv) w) rest in
-        let ctx_lt =
-          Pr.add_range ctx jv ~lo:P.zero ~hi:(P.sub (P.var v) P.one) ()
-        in
-        let ctx_gt =
-          Pr.add_range ctx jv
-            ~lo:(P.add (P.var v) P.one)
-            ~hi:(P.sub cnt P.one) ()
-        in
-        Refset.disjoint ctx_lt w_self w_other
-        && Refset.disjoint ctx_gt w_self w_other
-        && cases rest
-  in
-  cases nest
-
 (* A write set provably shared by distinct threads: independent of every
    nest variable, provably nonempty, with at least two threads. *)
 let provable_race ctx nest w =
@@ -594,7 +556,8 @@ let check_map_races acc env env_body ctx ~who ~nest ~body pat =
   in
   List.iter
     (fun (block, w) ->
-      if pairwise_threads_disjoint ctx nest w then
+      if Refset.threads_disjoint ~disjoint:Refset.disjoint ctx nest ~w ~u:w
+      then
         acc.n_races_proved <- acc.n_races_proved + 1
       else if provable_race ctx_i nest w then
         report acc Error "write-race" who

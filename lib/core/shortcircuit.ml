@@ -423,13 +423,20 @@ let block_info ~outer_defined ~outer_allocd (b : block) : binfo =
   done;
   { arr; defined; allocd }
 
+(* A check spending more prover steps (elimination searches) than this
+   is traced as slow under [verbose]. *)
+let slow_check_steps = 1_000
+
+let prover_steps () = (Pr.stats ()).Pr.nonneg_misses
+
 let check_disjoint st ctx (w : Refset.t) (u : Refset.t) : bool =
   st.stats.overlap_checks <- st.stats.overlap_checks + 1;
-  let t0 = Sys.time () in
+  let s0 = prover_steps () in
   let r = Refset.disjoint ~depth:st.opts.split_depth ctx w u in
-  let dt = Sys.time () -. t0 in
-  if dt > 0.2 then
-    trace st.opts "  [slow check %.2fs -> %b] W=%a U=%a" dt r Refset.pp w Refset.pp u;
+  let steps = prover_steps () - s0 in
+  if steps > slow_check_steps then
+    trace st.opts "  [slow check %d steps -> %b] W=%a U=%a" steps r Refset.pp w
+      Refset.pp u;
   (* record the exact fact (and context) the rewrite is about to rely
      on; it becomes an obligation only if the attempt commits *)
   if r && st.cert <> None then st.claims <- (w, u, ctx) :: st.claims;
@@ -709,48 +716,6 @@ and thread_write_set _st ixfn nest _body : Refset.t =
   in
   set_of_ixfn (Ixfn.slice slc ixfn)
 
-(* Section V-B, mapnest rule: writes of one thread must avoid the uses
-   of every *other* thread (iterations execute out of order), while
-   same-thread read-before-write is permitted.  "Other thread" is case-
-   split on the first differing nest dimension d: dimensions before d
-   coincide, dimension d is strictly smaller or strictly larger, and
-   dimensions after d range freely. *)
-and pairwise_thread_ok st ctx (nest : (string * P.t) list) ~w ~u : bool =
-  let ctx =
-    List.fold_left
-      (fun ctx (v, cnt) ->
-        Pr.add_range ctx v ~lo:P.zero ~hi:(P.sub cnt P.one) ())
-      ctx nest
-  in
-  (* Dimensions after the split point range freely on both sides; they
-     are aggregated into LMAD dimensions (section II-B) rather than left
-     as free variables, which keeps the offset distribution of the
-     non-overlap test decidable (e.g. LUD's 2-D interior nest). *)
-  let expand_rest ctx rs rest =
-    List.fold_left
-      (fun acc (w, c) -> Refset.expand_loop ctx w ~count:c acc)
-      rs rest
-  in
-  let rec cases = function
-    | [] -> true
-    | (v, cnt) :: rest ->
-        let jv = Ir.Names.fresh "othr" in
-        let w' = expand_rest ctx w rest in
-        let u' = expand_rest ctx (Refset.subst v (P.var jv) u) rest in
-        let ctx_lt =
-          Pr.add_range ctx jv ~lo:P.zero ~hi:(P.sub (P.var v) P.one) ()
-        in
-        let ctx_gt =
-          Pr.add_range ctx jv
-            ~lo:(P.add (P.var v) P.one)
-            ~hi:(P.sub cnt P.one) ()
-        in
-        check_disjoint st ctx_lt w' u'
-        && check_disjoint st ctx_gt w' u'
-        && cases rest
-  in
-  cases nest
-
 and cross_thread_ok st ctx ~ymem ~exclude ~nest ~body ~w_thread : bool =
   match nest with
   | [] -> true
@@ -766,7 +731,11 @@ and cross_thread_ok st ctx ~ymem ~exclude ~nest ~body ~w_thread : bool =
           (uses_in_block st ctx_i ~ymem ~exclude body)
           body (List.map fst nest)
       in
-      pairwise_thread_ok st ctx nest ~w:w_thread ~u:u_thread
+      (* section V-B, mapnest rule: writes of one thread must avoid the
+         uses of every *other* thread, while same-thread
+         read-before-write is permitted *)
+      Refset.threads_disjoint ~disjoint:(check_disjoint st) ctx nest
+        ~w:w_thread ~u:u_thread
 
 (* Fig. 5b: the candidate is produced by a loop.  The loop parameter,
    the initializer, and the body result are all rebased; body-internal
@@ -818,7 +787,9 @@ and circuit_loop st ctx info ~ymem ~j ~active ~ixfn ~u_xss ~w_total
                 let refined () =
                   st.opts.enable_refinement
                   &&
-                  let jv = Ir.Names.fresh "iter" in
+                  (* a proof variable, named like the other-thread
+                     index of {!Refset.threads_disjoint} *)
+                  let jv = "#iter_" ^ var in
                   let u_j = Refset.subst var (P.var jv) u_body in
                   let ctx_gt =
                     Pr.add_range ctx' jv
@@ -958,7 +929,8 @@ and rebase_mapnest_body st ctx info ~ymem ~j ~nest ~body ~res_ixfn =
             let ok =
               check_disjoint st ctx w_all u_all
               || (st.opts.enable_refinement
-                 && pairwise_thread_ok st ctx nest ~w:w_total ~u:u_final)
+                 && Refset.threads_disjoint ~disjoint:(check_disjoint st)
+                      ctx nest ~w:w_total ~u:u_final)
             in
             if not ok then begin
               (* cross-thread conflict: undo the body rebase *)

@@ -284,11 +284,15 @@ let rec disjoint_sums ctx depth (i1 : sum_of_intervals)
           parts1
     | _ -> false
 
+(* One call's proof budget, in elimination steps.  The largest call the
+   benchmark suite and the test suite make spends under 10,000, so the
+   bound only ever cuts a runaway search. *)
+let step_bound = 100_000
+
 (* [disjoint ctx l1 l2] - sufficient test that the point sets of the two
    LMADs do not intersect, under the context's assumptions. *)
-let disjoint ?(depth = 3) ?(budget = 4.0) ctx (l1 : Lmad.t) (l2 : Lmad.t) :
-    bool =
-  Pr.with_deadline budget @@ fun () ->
+let disjoint ?(depth = 3) ctx (l1 : Lmad.t) (l2 : Lmad.t) : bool =
+  Pr.bounded step_bound @@ fun () ->
   let l1 = Lmad.map_polys (Pr.rewrite ctx) l1 in
   let l2 = Lmad.map_polys (Pr.rewrite ctx) l2 in
   if Lmad.is_empty_set ctx l1 || Lmad.is_empty_set ctx l2 then true

@@ -21,12 +21,14 @@ type interval = { lo : P.t; hi : P.t; stride : P.t }
 
 type sum_of_intervals = interval list
 
-val disjoint : ?depth:int -> ?budget:float -> Pr.t -> Lmad.t -> Lmad.t -> bool
+val disjoint : ?depth:int -> Pr.t -> Lmad.t -> Lmad.t -> bool
 (** [disjoint ctx l1 l2] - the sufficient non-overlap test.  [depth]
     bounds the Fig. 8 splitting recursion (default 3; 0 disables
-    splitting, leaving the plain per-set condition); [budget] is the
-    proof deadline in CPU seconds handed to {!Symalg.Prover} (timeouts
-    answer [false], conservatively). *)
+    splitting, leaving the plain per-set condition).  The whole call
+    runs in one {!Symalg.Prover.bounded} scope of 100,000 prover steps
+    (the largest call the benchmark and test suites make spends under
+    10,000); a cut search answers [false], conservatively, and the
+    verdict depends on the program alone, not on machine speed. *)
 
 (**/**)
 

@@ -72,6 +72,44 @@ let subst v by = function
   | Top -> Top
   | Union xs -> Union (List.map (Lmad.subst v by) xs)
 
+(* Section V-B, mapnest rule: the writes [w] of one thread must avoid
+   the set [u] of every *other* thread (iterations execute out of
+   order).  "Other thread" is case-split on the first differing nest
+   dimension d: dimensions before d coincide, dimension d is strictly
+   smaller or strictly larger, and dimensions after d range freely on
+   both sides.  Those are aggregated into LMAD dimensions (section
+   II-B) rather than left as free variables, which keeps the offset
+   distribution of the non-overlap test decidable (e.g. LUD's 2-D
+   interior nest).  The other thread's index is a proof variable named
+   after the nest variable ("#othr_" ^ v, see DESIGN.md section 5), so
+   a repeated obligation repeats verbatim and hits the prover memo. *)
+let threads_disjoint ~disjoint ctx nest ~w ~u =
+  let ctx =
+    List.fold_left
+      (fun ctx (v, cnt) ->
+        Pr.add_range ctx v ~lo:P.zero ~hi:(P.sub cnt P.one) ())
+      ctx nest
+  in
+  let expand_rest rs rest =
+    List.fold_left (fun acc (v, c) -> expand_loop ctx v ~count:c acc) rs rest
+  in
+  let rec cases = function
+    | [] -> true
+    | (v, cnt) :: rest ->
+        let jv = "#othr_" ^ v in
+        let w' = expand_rest w rest in
+        let u' = expand_rest (subst v (P.var jv) u) rest in
+        let ctx_lt =
+          Pr.add_range ctx jv ~lo:P.zero ~hi:(P.sub (P.var v) P.one) ()
+        in
+        let ctx_gt =
+          Pr.add_range ctx jv ~lo:(P.add (P.var v) P.one)
+            ~hi:(P.sub cnt P.one) ()
+        in
+        disjoint ctx_lt w' u' && disjoint ctx_gt w' u' && cases rest
+  in
+  cases nest
+
 let subst_map env = function
   | Top -> Top
   | Union xs -> Union (List.map (Lmad.subst_map env) xs)

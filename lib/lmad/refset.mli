@@ -37,6 +37,23 @@ val expand_loop : Pr.t -> string -> count:P.t -> t -> t
 val subst : string -> P.t -> t -> t
 val subst_map : P.t P.SM.t -> t -> t
 
+val threads_disjoint :
+  disjoint:(Pr.t -> t -> t -> bool) ->
+  Pr.t ->
+  (string * P.t) list ->
+  w:t ->
+  u:t ->
+  bool
+(** [threads_disjoint ~disjoint ctx nest ~w ~u] - the mapnest rule of
+    section V-B: for a nest of [(variable, count)] dimensions, the
+    writes [w] of one thread avoid the set [u] (over the same nest
+    variables) of every {e other} thread.  The other thread is
+    case-split on the first differing dimension (equal before it,
+    strictly smaller or larger at it, free after it), each case
+    discharged by [disjoint].  The other thread's index is the proof
+    variable ["#othr_" ^ v], a name no program can bind, so the
+    queries depend on the program alone. *)
+
 val concretize : (string -> int) -> t -> Lmad.concrete list option
 (** Evaluate the summary under a concrete assignment: the finite union
     of {!Lmad.concrete} point sets it denotes, or [None] for [Top]

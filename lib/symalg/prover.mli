@@ -59,12 +59,6 @@ val rewrite : t -> Poly.t -> Poly.t
 val interval : t -> Poly.t -> Ext.t * Ext.t
 (** Best-effort inclusive interval for the polynomial's value. *)
 
-val with_deadline : float -> (unit -> 'a) -> 'a
-(** [with_deadline budget f] runs [f] with a proof budget of [budget]
-    CPU seconds: any [prove_*] search still running past the deadline
-    gives up (soundly, answering "not proved").  Nested budgets keep
-    the outermost deadline. *)
-
 val prove_nonneg : t -> Poly.t -> bool
 (** Entry point of the elimination search.  Before searching, the
     context is {e saturated} with triangular-bound consequences: a
@@ -146,20 +140,30 @@ val get_limits : unit -> limits
 
 (** {1 Resource budgets}
 
-    A process-wide, per-query prover budget (CLI [--prover-budget]):
-    [b_steps] caps the elimination searches (memo misses) any one
-    [prove_*] query may spend ([-1] = unlimited; [0] refuses every
-    query outright, so {e every} obligation comes back unproved);
-    [b_memo] overrides the nonneg memo cap when nonnegative; a
-    positive [b_deadline] installs a per-query CPU deadline via
-    {!with_deadline}.  Exhaustion is sound - the query answers "not
+    Proof work is bounded by counting steps - elimination searches,
+    i.e. nonneg memo misses - never by a clock, so a verdict depends on
+    the queries alone and not on machine speed.  Steps are spent from a
+    {e scope}: one {!bounded} call, or else one public [prove_*] query.
+
+    A process-wide prover budget (CLI [--prover-budget]): [b_steps]
+    caps the steps of any one scope ([-1] = unlimited; [0] refuses
+    every query outright, so {e every} obligation comes back
+    unproved); [b_memo] overrides the nonneg memo cap when
+    nonnegative.  Exhaustion is sound - the query answers "not
     proved", the caller skips the rewrite - and is counted once per
     affected query in [stats ()].[budget_exhausted]. *)
-type budget = { b_steps : int; b_memo : int; b_deadline : float }
+type budget = { b_steps : int; b_memo : int }
 
 val unlimited : budget
 val set_budget : budget -> unit
 val get_budget : unit -> budget
+
+val bounded : int -> (unit -> 'a) -> 'a
+(** [bounded n f] runs [f] as one scope of [min n b_steps] steps
+    (a negative bound is unlimited), shared by every query [f] makes.
+    The outermost scope wins: a nested [bounded] call neither re-arms
+    nor extends it.  [Lmads.Nonoverlap.disjoint] runs each call in
+    one scope. *)
 
 (** Cache effectiveness counters (process-wide, monotone until
     {!reset_stats}): a miss is a full saturation / elimination search,
@@ -172,7 +176,7 @@ type stats = {
   mutable nonneg_misses : int;
   mutable nonneg_resets : int;
   mutable budget_exhausted : int;
-      (** Queries truncated by the step or deadline budget. *)
+      (** Queries truncated by the step budget. *)
 }
 
 val stats : unit -> stats

@@ -65,9 +65,9 @@ let test_lud () =
 
 (* Flushing the prover's memo and intern tables almost constantly must
    change no verdict: the memos only cache answers, and an id cached
-   before a flush must never match a context interned after it.  Work
-   counters (overlap checks, prover misses) do change: without the memo
-   some searches run into the non-overlap deadline. *)
+   before a flush must never match a context interned after it.  The
+   overlap checks a compile issues follow from its verdicts, so they
+   match too; only the prover's miss counts grow. *)
 let test_lud_flush_safety () =
   let module Pr = Symalg.Prover in
   let verdicts () =
@@ -81,7 +81,7 @@ let test_lud_flush_safety () =
     let st = c.Core.Pipeline.stats and rs = c.Core.Pipeline.reuse_stats in
     let ps = c.Core.Pipeline.pack_stats in
     ( c,
-      ( (st.candidates, st.succeeded, st.rebased_vars),
+      ( (st.candidates, st.succeeded, st.overlap_checks, st.rebased_vars),
         (rs.Core.Reuse.coalesced, rs.chain_links, rs.rotated, rs.hoisted),
         (ps.Core.Pack.arenas, ps.packed, ps.unpacked, ps.holes),
         ( c.Core.Pipeline.dead_allocs,

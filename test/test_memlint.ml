@@ -231,30 +231,47 @@ let test_lud_no_warnings () =
         [] (pp (ML.warnings r)))
     compiled.Core.Pipeline.lint
 
-(* Regression: the write-race rule names the other thread's index
-   deterministically, so its prover queries repeat verbatim and hit the
-   memo.  With fresh names every query missed and NW's race proofs ran
-   into the prover deadline as warnings.  All four variants lint with
-   no warnings, and linting again after the name counter has moved on
-   gives identical reports. *)
-let test_nw_race_rule_deterministic () =
-  let variants =
-    Core.Pipeline.variants (Core.Pipeline.compile Benchsuite.Nw.prog)
-  in
-  let lint () = List.map (fun (v, p) -> ML.check ~stage:v p) variants in
-  let first = lint () in
+(* Proof variables (the other thread's index, a later loop iteration)
+   are named after program variables, not drawn from Ir.Names, so no
+   verdict depends on the name counter.  Every variant of NW and LUD
+   lints with no warnings; after the counter has moved on, linting
+   again gives identical reports, and a certified recompile gives the
+   same short-circuit statistics and per-pass certificate counts. *)
+let test_race_rule_deterministic () =
   List.iter
-    (fun (r : ML.report) ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "nw %s: no warnings" r.ML.stage)
-        []
-        (List.map (fun v -> Fmt.str "%a" ML.pp_violation v) r.ML.violations))
-    first;
-  for _ = 1 to 1000 do
-    ignore (Names.fresh "advance")
-  done;
-  Alcotest.(check bool) "reports identical after advancing Ir.Names" true
-    (lint () = first)
+    (fun (name, prog) ->
+      let compile () = Core.Pipeline.compile ~certify:true prog in
+      let summary (c : Core.Pipeline.compiled) =
+        let st = c.Core.Pipeline.stats in
+        ( (st.candidates, st.succeeded, st.overlap_checks, st.rebased_vars),
+          List.map
+            (fun (pass, (r : Core.Certify.report)) ->
+              (pass, r.emitted, r.proved, r.concretized, r.failed))
+            c.Core.Pipeline.certs )
+      in
+      let c = compile () in
+      let variants = Core.Pipeline.variants c in
+      let lint () = List.map (fun (v, p) -> ML.check ~stage:v p) variants in
+      let first = lint () in
+      List.iter
+        (fun (r : ML.report) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s %s: no warnings" name r.ML.stage)
+            []
+            (List.map (fun v -> Fmt.str "%a" ML.pp_violation v) r.ML.violations))
+        first;
+      for _ = 1 to 1000 do
+        ignore (Names.fresh "advance")
+      done;
+      Alcotest.(check bool)
+        (name ^ ": reports identical after advancing Ir.Names")
+        true
+        (lint () = first);
+      Alcotest.(check bool)
+        (name ^ ": short-circuit stats and certificates unchanged")
+        true
+        (summary (compile ()) = summary c))
+    [ ("nw", Benchsuite.Nw.prog); ("lud", Benchsuite.Lud.prog) ]
 
 (* A pre-memory program is vacuously clean. *)
 let test_unannotated_clean () =
@@ -279,5 +296,5 @@ let tests =
     Alcotest.test_case "lud: zero warnings (triangular bounds)" `Slow
       test_lud_no_warnings;
     Alcotest.test_case "nw: race rule deterministic, zero warnings" `Slow
-      test_nw_race_rule_deterministic;
+      test_race_rule_deterministic;
   ]

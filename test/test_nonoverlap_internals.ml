@@ -1,7 +1,7 @@
 (* White-box tests of the non-overlap machinery: the sum-of-intervals
    conversion, offset distribution (footnote 27), the per-set dimension
    condition, the splitting heuristic (Fig. 8), the residue rule, and
-   the prover's proof deadline. *)
+   the prover's step budget. *)
 
 module P = Symalg.Poly
 module Pr = Symalg.Prover
@@ -156,12 +156,11 @@ let test_split_depth_zero () =
     (Nonoverlap.disjoint ctx w rv)
 
 (* ---------------------------------------------------------------- *)
-(* Prover deadline                                                   *)
+(* Prover step budget                                                *)
 (* ---------------------------------------------------------------- *)
 
-let test_deadline_soundness () =
-  (* under an absurdly small budget the test gives up (false), never
-     claims disjointness it cannot prove *)
+let test_step_budget () =
+  (* the Fig. 9 pair of the splitting test above *)
   let ctx = nw_ctx () in
   let n = v "n" and b = v "b" and i = v "i" in
   let nb_b = P.sub (P.mul n b) b in
@@ -174,14 +173,61 @@ let test_deadline_soundness () =
     Lmad.make (P.mul i b)
       [ Lmad.dim (P.add i P.one) nb_b; Lmad.dim (P.add b P.one) n ]
   in
-  (* cannot assert failure deterministically (fast machines might finish)
-     but the call must return a bool without raising *)
-  let r = Nonoverlap.disjoint ~budget:1e-9 ctx w rv in
-  Alcotest.(check bool) "returns a boolean" true (r = true || r = false);
-  (* and a nested budget does not clobber an outer one *)
-  Pr.with_deadline 10.0 (fun () ->
-      Alcotest.(check bool) "nested budget still proves" true
-        (Nonoverlap.disjoint ctx w rv))
+  let exhausted () = (Pr.stats ()).Pr.budget_exhausted in
+  (* no steps: the test gives up (false), never claims disjointness it
+     cannot prove, and the truncation is counted *)
+  let e0 = exhausted () in
+  Fun.protect
+    ~finally:(fun () -> Pr.set_budget Pr.unlimited)
+    (fun () ->
+      Pr.set_budget { Pr.unlimited with Pr.b_steps = 0 };
+      Alcotest.(check bool) "b_steps = 0 refuses the pair" false
+        (Nonoverlap.disjoint ctx w rv));
+  Alcotest.(check bool) "exhaustion counted" true (exhausted () > e0);
+  (* an outer scope of no steps wins over the call's own bound, which
+     does not re-arm it *)
+  let e1 = exhausted () in
+  Alcotest.(check bool) "inner scope does not re-arm the outer one" false
+    (Pr.bounded 0 (fun () -> Nonoverlap.disjoint ctx w rv));
+  Alcotest.(check bool) "exhaustion counted in the outer scope" true
+    (exhausted () > e1);
+  (* the default bound proves the pair, nested or not *)
+  Alcotest.(check bool) "default bound proves the pair" true
+    (Nonoverlap.disjoint ctx w rv);
+  Alcotest.(check bool) "a generous outer scope proves it too" true
+    (Pr.bounded 100_000 (fun () -> Nonoverlap.disjoint ctx w rv))
+
+(* ---------------------------------------------------------------- *)
+(* The other-thread case split                                       *)
+(* ---------------------------------------------------------------- *)
+
+let test_thread_split_memoized () =
+  (* a 2-D nest of threads (ti, tj) < (tn, tm), each writing its own
+     row-major slot ti*tm + tj; names unused elsewhere, so the first run
+     starts from a cold memo *)
+  let ctx =
+    Pr.add_range
+      (Pr.add_range Pr.empty "tn" ~lo:(c 1) ())
+      "tm" ~lo:(c 1) ()
+  in
+  let nest = [ ("ti", v "tn"); ("tj", v "tm") ] in
+  let w =
+    Refset.of_lmad (Lmad.make (P.add (P.mul (v "ti") (v "tm")) (v "tj")) [])
+  in
+  let misses () = (Pr.stats ()).Pr.nonneg_misses in
+  let run () =
+    let m0 = misses () in
+    let r = Refset.threads_disjoint ~disjoint:Refset.disjoint ctx nest ~w ~u:w in
+    (r, misses () - m0)
+  in
+  let r1, m1 = run () in
+  Alcotest.(check bool) "distinct threads write distinct slots" true r1;
+  Alcotest.(check bool) "the first run searches" true (m1 > 0);
+  (* the other thread's index is named after the nest variable, not
+     drawn from a counter, so the second run repeats every query *)
+  let r2, m2 = run () in
+  Alcotest.(check bool) "same verdict" true r2;
+  Alcotest.(check int) "the second run is served from the memo" 0 m2
 
 let tests =
   [
@@ -195,5 +241,7 @@ let tests =
     Alcotest.test_case "splitting heuristic (Fig. 8)" `Quick
       test_split_overlapping;
     Alcotest.test_case "Fig. 9 needs splitting" `Quick test_split_depth_zero;
-    Alcotest.test_case "proof deadline" `Quick test_deadline_soundness;
+    Alcotest.test_case "proof step budget" `Quick test_step_budget;
+    Alcotest.test_case "thread case split hits the memo" `Quick
+      test_thread_split_memoized;
   ]
