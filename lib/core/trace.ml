@@ -73,9 +73,22 @@ and building = {
   b_dw : footprint list;
   b_dr : footprint list;
   mutable b_fresh : int list;
-  b_wr : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-  b_rd : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+  b_wr : touched;
+  b_rd : touched;
 }
+
+(* The distinct offsets one kernel touched, per block.  Accesses come
+   in runs on one block, so the last block's set is kept at hand and
+   the table is consulted only when the block changes. *)
+and touched = {
+  sets : (int, offsets) Hashtbl.t;
+  mutable last : (int * offsets) option;
+}
+
+(* A bit per non-negative offset, so the set comes out sorted without
+   a sort; negative offsets (only a faulty access computes one) are
+   kept aside. *)
+and offsets = { mutable bits : Bytes.t; mutable neg : int list }
 
 let create ~program ~variant ~exact () =
   {
@@ -112,20 +125,39 @@ let kernel_begin t ~label ~threads ~declared_writes ~declared_reads =
           b_dw = declared_writes;
           b_dr = declared_reads;
           b_fresh = [];
-          b_wr = Hashtbl.create 16;
-          b_rd = Hashtbl.create 16;
+          b_wr = { sets = Hashtbl.create 16; last = None };
+          b_rd = { sets = Hashtbl.create 16; last = None };
         }
 
-let touch tbl bid off =
-  let s =
-    match Hashtbl.find_opt tbl bid with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 64 in
-        Hashtbl.add tbl bid s;
-        s
-  in
-  Hashtbl.replace s off ()
+let add_offset s off =
+  if off < 0 then s.neg <- off :: s.neg
+  else begin
+    let byte = off lsr 3 in
+    let len = Bytes.length s.bits in
+    if byte >= len then begin
+      let grown = Bytes.make (max (byte + 1) (2 * len)) '\000' in
+      Bytes.blit s.bits 0 grown 0 len;
+      s.bits <- grown
+    end;
+    Bytes.set s.bits byte
+      (Char.unsafe_chr
+         (Char.code (Bytes.get s.bits byte) lor (1 lsl (off land 7))))
+  end
+
+let touch tc bid off =
+  match tc.last with
+  | Some (b, s) when b = bid -> add_offset s off
+  | _ ->
+      let s =
+        match Hashtbl.find_opt tc.sets bid with
+        | Some s -> s
+        | None ->
+            let s = { bits = Bytes.make 16 '\000'; neg = [] } in
+            Hashtbl.add tc.sets bid s;
+            s
+      in
+      tc.last <- Some (bid, s);
+      add_offset s off
 
 let kernel_read t ~bid ~off =
   match t.cur with Some b when not t.muted -> touch b.b_rd bid off | _ -> ()
@@ -133,12 +165,19 @@ let kernel_read t ~bid ~off =
 let kernel_write t ~bid ~off =
   match t.cur with Some b when not t.muted -> touch b.b_wr bid off | _ -> ()
 
-let offsets_of tbl =
-  Hashtbl.fold
-    (fun bid s acc ->
-      let offs = Hashtbl.fold (fun o () l -> o :: l) s [] in
-      (bid, List.sort compare offs) :: acc)
-    tbl []
+let offset_list s =
+  let acc = ref [] in
+  for byte = Bytes.length s.bits - 1 downto 0 do
+    let c = Char.code (Bytes.get s.bits byte) in
+    if c <> 0 then
+      for bit = 7 downto 0 do
+        if c land (1 lsl bit) <> 0 then acc := ((byte * 8) + bit) :: !acc
+      done
+  done;
+  List.sort_uniq compare s.neg @ !acc
+
+let offsets_of tc =
+  Hashtbl.fold (fun bid s acc -> (bid, offset_list s) :: acc) tc.sets []
   |> List.sort compare
 
 let kernel_end t ~read_bytes ~write_bytes =

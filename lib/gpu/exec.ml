@@ -19,13 +19,21 @@
    counts for copies and slices are exact since they derive from
    shapes.  This is accurate for thread-uniform bodies and for bodies
    whose cost is linear in the thread index (wavefront/triangular
-   workloads), which covers the benchmark suite. *)
+   workloads), which covers the benchmark suite.
+
+   A run first resolves the program: every binder occurrence gets an
+   integer slot, every name use becomes the slot of the binder in
+   scope there, and index polynomials, the per-block result-liveness
+   bookkeeping and the names each kernel's declared footprints look up
+   are all fixed once per program.  Execution then reads and writes
+   one mutable frame ([aval array]) instead of a name-keyed
+   environment.  Block ids are numbered per run from 1, so a trace
+   does not depend on how many runs the process made before it. *)
 
 open Ir.Ast
 module P = Symalg.Poly
 module Ixfn = Lmads.Ixfn
 module Lmad = Lmads.Lmad
-module Refset = Lmads.Refset
 module Trace = Core.Trace
 module SM = Map.Make (String)
 module Value = Ir.Value
@@ -49,8 +57,10 @@ type mutation = Off_by_one_write
 type payload = PF of float array | PI of int array | PB of bool array
 
 type blockv = {
-  bid : int; (* unique id *)
-  bname : string;
+  bid : int; (* unique within the run *)
+  bname : string option;
+      (* the parameter's annotated block name; None for allocations,
+         which are named [blk<bid>] only when a name is needed *)
   bsize : int; (* elements *)
   mutable payload : payload option; (* lazily materialized (Full mode) *)
   mutable devbytes : float;
@@ -58,6 +68,9 @@ type blockv = {
          is not pool-owned (inputs, scratch, pool disabled) *)
   mutable freed : bool; (* currently sitting on a pool free list *)
 }
+
+let block_name b =
+  match b.bname with Some n -> n | None -> Printf.sprintf "blk%d" b.bid
 
 (* Concrete index function: integer offsets/cardinals/strides.  The
    constituent LMADs are {!Lmads.Lmad.concrete}, shared with the trace
@@ -78,7 +91,424 @@ type aval =
   | AMem of blockv
   | AArr of arrv
 
-type env = aval SM.t
+(* ---------------------------------------------------------------- *)
+(* Slot-resolved programs                                            *)
+(* ---------------------------------------------------------------- *)
+
+(* Every binder occurrence (parameter, the block of an array parameter,
+   pattern element, loop parameter and counter, mapnest index) owns one
+   slot of the run's frame, and every name use is resolved to the slot
+   of the binder lexically in scope at that point.  A slot per
+   occurrence, not per name, keeps shadowing right: a loop body or an
+   [if] arm rebinding an outer name writes its own slot, so the outer
+   binding is intact when the nested block returns.  No construct
+   re-enters a block that is still running (threads and iterations run
+   one after another, and there is no recursion), so one frame per run
+   suffices.  A name with no binder in scope resolves to a negative
+   slot and raises [Exec_error] only if it is executed. *)
+type vref = { slot : int; name : string }
+
+type ratom = RVar of vref | RConst of aval
+
+(* An index polynomial over slots: (coefficient, power product) terms,
+   summed as {!Symalg.Poly.eval} sums them. *)
+type rpoly = Konst of int | Terms of (int * (vref * int) list) list
+
+type rlmad = { roff : rpoly; rdims : (rpoly * rpoly) list }
+
+type rmem = { rblock : vref; rix : rlmad list (* head first *) }
+
+type rpat = {
+  rv : string;
+  rslot : int;
+  rtyp : typ;
+  rshape : rpoly list; (* the array shape; [] for scalars *)
+  rmem : rmem option;
+}
+
+type rslice_dim = RFix of rpoly | RRange of rpoly * rpoly * rpoly
+type rslice = RTriplet of rslice_dim list | RLmad of rlmad
+type rsrc = RSrcArr of vref | RSrcScalar of ratom
+
+type rexp =
+  | XAtom of ratom
+  | XBin of binop * ratom * ratom
+  | XCmp of cmpop * ratom * ratom
+  | XUn of unop * ratom
+  | XIdx of rpoly
+  | XIndex of vref * rpoly list
+  | XView of vref (* slice, transpose, reshape, reverse *)
+  | XIota of rpoly
+  | XReplicate of ratom
+  | XScratch
+  | XCopy of vref
+  | XConcat of vref list
+  | XUpdate of { dst : vref; slc : rslice; src : rsrc }
+  | XMap of {
+      nest : (int * rpoly) list;
+      body : rblock;
+      dests : (string * int) list;
+          (* launch-scope slots of the blocks annotated inside the body *)
+      reads : (string * int) list;
+          (* launch-scope slots of the names the body mentions *)
+    }
+  | XReduce of { op : binop; ne : ratom; arr : vref }
+  | XArgmin of vref
+  | XLoop of {
+      params : (string * int * ratom) list; (* name, slot, initial value *)
+      var : int;
+      bound : rpoly;
+      body : rblock;
+      scalar_carry : bool;
+    }
+  | XIf of { cond : ratom; tb : rblock; fb : rblock }
+  | XAlloc of rpoly
+
+and rstm = {
+  rpat : rpat list;
+  rexp : rexp;
+  label : string option; (* the first bound name: the kernel label *)
+  arena : bool; (* a packed arena's allocation *)
+  lus : (string * vref) list; (* last uses, resolved after the binding *)
+  res_refs : (vref * vref option) list;
+      (* per result variable of the enclosing block: its binding in
+         scope after this statement, and the block it is annotated with
+         when a later statement binds it (empty when [lus] is) *)
+}
+
+and rblock = { rstms : rstm list; rres : ratom list }
+
+(* [rs] counts the slots handed out so far. *)
+let fresh_slot rs =
+  let s = !rs in
+  incr rs;
+  s
+
+let resolve scope v =
+  { slot = Option.value (SM.find_opt v scope) ~default:(-1); name = v }
+
+let r_atom scope = function
+  | Var v -> RVar (resolve scope v)
+  | Int i -> RConst (AInt i)
+  | Float f -> RConst (AFloat f)
+  | Bool b -> RConst (ABool b)
+
+let r_poly scope (p : P.t) =
+  match P.to_const_opt p with
+  | Some c -> Konst c
+  | None ->
+      Terms
+        (List.map
+           (fun (m : P.mono) ->
+             (m.coeff, List.map (fun (x, e) -> (resolve scope x, e)) m.pows))
+           (P.monos p))
+
+let r_lmad scope l =
+  {
+    roff = r_poly scope (Lmad.offset l);
+    rdims =
+      List.map
+        (fun d -> (r_poly scope d.Lmad.n, r_poly scope d.Lmad.s))
+        (Lmad.dims l);
+  }
+
+(* A pattern element's annotations are resolved in the scope before its
+   statement binds anything. *)
+let r_pat rs scope pe =
+  {
+    rv = pe.pv;
+    rslot = fresh_slot rs;
+    rtyp = pe.pt;
+    rshape = List.map (r_poly scope) (typ_shape pe.pt);
+    rmem =
+      Option.map
+        (fun (m : mem_info) ->
+          {
+            rblock = resolve scope m.block;
+            rix = List.map (r_lmad scope) (Ixfn.chain m.ixfn);
+          })
+        pe.pmem;
+  }
+
+let r_slice scope = function
+  | STriplet sds ->
+      RTriplet
+        (List.map
+           (function
+             | SFix i -> RFix (r_poly scope i)
+             | SRange { start; len; step } ->
+                 RRange
+                   (r_poly scope start, r_poly scope len, r_poly scope step))
+           sds)
+  | SLmad l -> RLmad (r_lmad scope l)
+
+(* Every variable name occurring in a block (conservative: includes
+   locally bound names, which resolve against the launch scope like
+   any other). *)
+let rec names_in_block (blk : block) acc =
+  let acc = List.fold_left (fun acc s -> names_in_stm s acc) acc blk.stms in
+  List.fold_left (fun acc a -> name_of_atom a acc) acc blk.res
+
+and name_of_atom a acc = match a with Var v -> v :: acc | _ -> acc
+
+and names_in_stm (s : stm) acc =
+  match s.exp with
+  | EAtom a | EUn (_, a) -> name_of_atom a acc
+  | EBin (_, a, b) | ECmp (_, a, b) -> name_of_atom a (name_of_atom b acc)
+  | EIdx _ | EIota _ | EScratch _ | EAlloc _ -> acc
+  | EIndex (v, _)
+  | ESlice (v, _)
+  | ETranspose (v, _)
+  | EReshape (v, _)
+  | EReverse (v, _)
+  | ECopy v
+  | EArgmin v ->
+      v :: acc
+  | EConcat vs -> vs @ acc
+  | EReplicate (_, a) -> name_of_atom a acc
+  | EUpdate { dst; src; _ } -> (
+      let acc = dst :: acc in
+      match src with
+      | SrcScalar a -> name_of_atom a acc
+      | SrcArr v -> v :: acc)
+  | EMap { body; _ } -> names_in_block body acc
+  | EReduce { ne; arr; _ } -> name_of_atom ne (arr :: acc)
+  | ELoop { params; body; _ } ->
+      let acc =
+        List.fold_left (fun acc (_, init) -> name_of_atom init acc) acc params
+      in
+      names_in_block body acc
+  | EIf { cond; tb; fb } ->
+      name_of_atom cond (names_in_block tb (names_in_block fb acc))
+
+(* Memory destinations annotated anywhere inside a kernel body, by the
+   launch-scope slot of their block name.  Those whose block already
+   exists at launch (hoisted scratch) are declared written - and
+   therefore also read - by the kernel. *)
+let rec body_dests scope (blk : block) acc =
+  List.fold_left
+    (fun acc s ->
+      let acc =
+        List.fold_left
+          (fun acc pe ->
+            match pe.pmem with
+            | Some m -> (
+                match SM.find_opt m.block scope with
+                | Some slot -> (pe.pv, slot) :: acc
+                | None -> acc)
+            | None -> acc)
+          acc s.pat
+      in
+      match s.exp with
+      | EMap { body; _ } | ELoop { body; _ } -> body_dests scope body acc
+      | EIf { tb; fb; _ } -> body_dests scope tb (body_dests scope fb acc)
+      | _ -> acc)
+    acc blk.stms
+
+let rec r_exp rs scope (s : stm) : rexp =
+  match s.exp with
+  | EAtom a -> XAtom (r_atom scope a)
+  | EBin (op, a, b) -> XBin (op, r_atom scope a, r_atom scope b)
+  | ECmp (op, a, b) -> XCmp (op, r_atom scope a, r_atom scope b)
+  | EUn (op, a) -> XUn (op, r_atom scope a)
+  | EIdx p -> XIdx (r_poly scope p)
+  | EIndex (v, idxs) -> XIndex (resolve scope v, List.map (r_poly scope) idxs)
+  | ESlice (v, _) | ETranspose (v, _) | EReshape (v, _) | EReverse (v, _) ->
+      XView (resolve scope v)
+  | EIota n -> XIota (r_poly scope n)
+  | EReplicate (_, a) -> XReplicate (r_atom scope a)
+  | EScratch _ -> XScratch
+  | ECopy v -> XCopy (resolve scope v)
+  | EConcat vs -> XConcat (List.map (resolve scope) vs)
+  | EUpdate { dst; slc; src } ->
+      XUpdate
+        {
+          dst = resolve scope dst;
+          slc = r_slice scope slc;
+          src =
+            (match src with
+            | SrcArr v -> RSrcArr (resolve scope v)
+            | SrcScalar a -> RSrcScalar (r_atom scope a));
+        }
+  | EMap { nest; body } ->
+      let inner, nest =
+        List.fold_left_map
+          (fun sc (v, n) ->
+            let slot = fresh_slot rs in
+            (SM.add v slot sc, (slot, r_poly scope n)))
+          scope nest
+      in
+      let in_scope v =
+        Option.map (fun slot -> (v, slot)) (SM.find_opt v scope)
+      in
+      XMap
+        {
+          nest;
+          body = r_block rs inner body;
+          dests = body_dests scope body [];
+          reads =
+            List.filter_map in_scope
+              (List.sort_uniq compare (names_in_block body []));
+        }
+  | EReduce { op; ne; arr } ->
+      XReduce { op; ne = r_atom scope ne; arr = resolve scope arr }
+  | EArgmin v -> XArgmin (resolve scope v)
+  | ELoop { params; var; bound; body } ->
+      let inner, rparams =
+        List.fold_left_map
+          (fun sc (pe, init) ->
+            let slot = fresh_slot rs in
+            (SM.add pe.pv slot sc, (pe.pv, slot, r_atom scope init)))
+          scope params
+      in
+      let vslot = fresh_slot rs in
+      XLoop
+        {
+          params = rparams;
+          var = vslot;
+          bound = r_poly scope bound;
+          body = r_block rs (SM.add var vslot inner) body;
+          scalar_carry =
+            List.exists (fun (pe, _) -> pe.pt = TScalar I64) params;
+        }
+  | EIf { cond; tb; fb } ->
+      XIf
+        {
+          cond = r_atom scope cond;
+          tb = r_block rs scope tb;
+          fb = r_block rs scope fb;
+        }
+  | EAlloc size -> XAlloc (r_poly scope size)
+
+and r_block rs scope (b : block) : rblock =
+  let res_vars =
+    List.filter_map (function Var v -> Some v | _ -> None) b.res
+  in
+  (* Annotated block names of result variables bound by this block's
+     own statements.  A result variable bound by a LATER statement is
+     not yet bound while earlier statements execute, so its block id
+     must be resolved through the annotation name (the [EAlloc]
+     precedes any use of the block) - otherwise a last-use marker for
+     a co-resident variable would date the block's death before a
+     later in-block write (the rotated-loop pattern). *)
+  let res_blocks =
+    List.fold_left
+      (fun m (s : stm) ->
+        List.fold_left
+          (fun m (pe : pat_elem) ->
+            match pe.pmem with
+            | Some mi when List.mem pe.pv res_vars -> SM.add pe.pv mi.block m
+            | _ -> m)
+          m s.pat)
+      SM.empty b.stms
+  in
+  let scope, rstms =
+    List.fold_left_map
+      (fun scope (s : stm) ->
+        let rexp = r_exp rs scope s in
+        let rpat = List.map (r_pat rs scope) s.pat in
+        let scope =
+          List.fold_left (fun sc rp -> SM.add rp.rv rp.rslot sc) scope rpat
+        in
+        let lus = List.map (fun v -> (v, resolve scope v)) s.last_uses in
+        let res_refs =
+          if lus = [] then []
+          else
+            List.map
+              (fun v ->
+                ( resolve scope v,
+                  Option.map (resolve scope) (SM.find_opt v res_blocks) ))
+              res_vars
+        in
+        ( scope,
+          {
+            rpat;
+            rexp;
+            label = (match s.pat with pe :: _ -> Some pe.pv | [] -> None);
+            arena =
+              (match s.pat with
+              | [ pe ] -> Core.Pack.is_arena pe.pv
+              | _ -> false);
+            lus;
+            res_refs;
+          } ))
+      scope b.stms
+  in
+  { rstms; rres = List.map (r_atom scope) b.res }
+
+(* ---------------------------------------------------------------- *)
+(* Per-thread written cells                                          *)
+(* ---------------------------------------------------------------- *)
+
+(* The (block id, offset) cells the current kernel thread wrote, in an
+   open-addressing table.  A slot is a member only while its stamp is
+   the current generation, so [clear] - once per thread - is O(1) and
+   slots stamped by earlier threads count as free. *)
+module Cells = struct
+  type t = {
+    mutable bids : int array;
+    mutable offs : int array;
+    mutable stamps : int array;
+    mutable gen : int;
+    mutable size : int; (* members of the current generation *)
+  }
+
+  let create () =
+    {
+      bids = Array.make 64 0;
+      offs = Array.make 64 0;
+      stamps = Array.make 64 0;
+      gen = 1;
+      size = 0;
+    }
+
+  let clear t =
+    t.gen <- t.gen + 1;
+    t.size <- 0
+
+  (* The slot holding (bid, off), or the free slot where it belongs;
+     the load stays at most 1/2, so a free slot is always found. *)
+  let find t bid off =
+    let mask = Array.length t.stamps - 1 in
+    let rec probe i =
+      if t.stamps.(i) <> t.gen || (t.bids.(i) = bid && t.offs.(i) = off)
+      then i
+      else probe ((i + 1) land mask)
+    in
+    probe (((bid * 0x2f0b3c1d) lxor (off * 0x1e3779b9)) land mask)
+
+  let mem t bid off = t.stamps.(find t bid off) = t.gen
+
+  let rec add t bid off =
+    let i = find t bid off in
+    if t.stamps.(i) <> t.gen then
+      if 2 * (t.size + 1) > Array.length t.stamps then begin
+        grow t;
+        add t bid off
+      end
+      else begin
+        t.stamps.(i) <- t.gen;
+        t.bids.(i) <- bid;
+        t.offs.(i) <- off;
+        t.size <- t.size + 1
+      end
+
+  and grow t =
+    let bids = t.bids and offs = t.offs and stamps = t.stamps in
+    let n = 2 * Array.length stamps in
+    t.bids <- Array.make n 0;
+    t.offs <- Array.make n 0;
+    t.stamps <- Array.make n 0;
+    t.size <- 0;
+    Array.iteri (fun i s -> if s = t.gen then add t bids.(i) offs.(i)) stamps
+end
+
+(* ---------------------------------------------------------------- *)
+(* Run state                                                         *)
+(* ---------------------------------------------------------------- *)
+
+(* A block's DRAM read estimate within the current kernel. *)
+type tally = { mutable bytes : float; tsize : int (* block elements *) }
 
 type state = {
   mode : mode;
@@ -98,6 +528,7 @@ type state = {
       (* fault injection: refuse allocation number [oom_at] (1-based
          over top-level and scratch allocations); 0 = never *)
   mutable alloc_seq : int; (* allocations seen so far, for [oom_at] *)
+  mutable next_bid : int; (* block ids handed out so far in this run *)
   mutable exec_faults : Core.Fault.t list; (* contained, newest first *)
   mutable unfreed : int;
       (* device-owned blocks allocated but not yet freed: the
@@ -111,17 +542,21 @@ type state = {
       (* bytes of per-thread scratch allocated by the kernel currently
          in flight (CUDA local-memory model): raises the peak while the
          kernel runs, released when it retires *)
-  thread_writes : (int * int, unit) Hashtbl.t;
-      (* (block id, offset) pairs written by the current kernel thread:
-         re-reads of a thread's own writes hit registers/shared memory
-         and cost no global traffic (temporal locality within a thread,
-         e.g. the in-block cells of NW/LUD) *)
-  kernel_reads_tally : (int, float * int) Hashtbl.t;
-      (* per-kernel DRAM read estimate per block: bid -> (bytes, block
-         size in elements).  At kernel end each block's reads are capped
-         at its footprint - a perfect-L2 model: within one kernel launch
-         a location is fetched from DRAM at most once (spatial/temporal
-         sharing between threads, e.g. stencil neighbours) *)
+  thread_writes : Cells.t;
+      (* cells written by the current kernel thread: re-reads of a
+         thread's own writes hit registers/shared memory and cost no
+         global traffic (temporal locality within a thread, e.g. the
+         in-block cells of NW/LUD) *)
+  kernel_reads_tally : (int, tally) Hashtbl.t;
+      (* per-kernel DRAM read estimate per block id.  At kernel end
+         each block's reads are capped at its footprint - a perfect-L2
+         model: within one kernel launch a location is fetched from
+         DRAM at most once (spatial/temporal sharing between threads,
+         e.g. stencil neighbours).  The summation order of the capped
+         reads is the table's iteration order, so entries are updated
+         in place and only ever re-inserted wholesale. *)
+  mutable tally_bid : int; (* the block [tally_cell] belongs to; 0 = none *)
+  mutable tally_cell : tally; (* the last block's entry: reads come in runs *)
 }
 
 let elem_bytes = 8.0
@@ -177,44 +612,53 @@ let device_fault st (f : Core.Fault.t) =
   end
 
 (* ---------------------------------------------------------------- *)
-(* Environment and polynomial evaluation                             *)
+(* Frame and polynomial evaluation                                   *)
 (* ---------------------------------------------------------------- *)
 
-let lookup env v =
-  match SM.find_opt v env with
-  | Some x -> x
-  | None -> err "exec: unbound %s" v
+type frame = aval array
 
-let lookup_arr env v =
-  match lookup env v with
+let lookup (env : frame) r =
+  if r.slot < 0 then err "exec: unbound %s" r.name else env.(r.slot)
+
+let lookup_arr env r =
+  match lookup env r with
   | AArr a -> a
-  | _ -> err "exec: %s is not an array" v
+  | _ -> err "exec: %s is not an array" r.name
 
-let lookup_block env v =
-  match lookup env v with
+let lookup_block env r =
+  match lookup env r with
   | AMem b -> b
-  | _ -> err "exec: %s is not a memory block" v
+  | _ -> err "exec: %s is not a memory block" r.name
 
-let eval_poly env (p : P.t) : int =
-  P.eval
-    (fun v ->
-      match lookup env v with
-      | AInt i -> i
-      | _ -> err "exec: %s is not an integer (in index expression)" v)
-    p
+let eval_poly env = function
+  | Konst c -> c
+  | Terms ms ->
+      List.fold_left
+        (fun acc (c, pows) ->
+          acc
+          + List.fold_left
+              (fun acc (r, e) ->
+                let x =
+                  match lookup env r with
+                  | AInt i -> i
+                  | _ ->
+                      err "exec: %s is not an integer (in index expression)"
+                        r.name
+                in
+                let rec pw acc e =
+                  if e = 0 then acc else pw (acc * x) (e - 1)
+                in
+                pw acc e)
+              c pows)
+        0 ms
 
-let concretize env (ix : Ixfn.t) : cixfn =
-  List.map
-    (fun l ->
-      {
-        coff = eval_poly env (Lmad.offset l);
-        cdims =
-          List.map
-            (fun d -> (eval_poly env d.Lmad.n, eval_poly env d.Lmad.s))
-            (Lmad.dims l);
-      })
-    (Ixfn.chain ix)
+let concretize_lmad env l =
+  {
+    coff = eval_poly env l.roff;
+    cdims = List.map (fun (n, s) -> (eval_poly env n, eval_poly env s)) l.rdims;
+  }
 
+let concretize env (ix : rlmad list) : cixfn = List.map (concretize_lmad env) ix
 
 (* Apply a concrete index function to a concrete index. *)
 let capply (ix : cixfn) (idxs : int list) : int =
@@ -245,23 +689,16 @@ let capply (ix : cixfn) (idxs : int list) : int =
 (* Declared footprints (tracing)                                     *)
 (* ---------------------------------------------------------------- *)
 
-(* The declared region of a static index function at launch time: its
-   memory-side LMAD concretized under the environment, via the Refset
-   machinery the static analyses reason with.  Annotations mentioning
+(* The declared region of an annotation at launch time: its
+   memory-side LMAD concretized in the frame.  Annotations mentioning
    variables with no launch-time value (per-thread indices, inner loop
    counters) have no single enumerable region and degrade to None -
    "anywhere in the block", which is still bounded by the block size. *)
-let int_env env v =
-  match lookup env v with
-  | AInt i -> i
-  | _ -> err "exec: %s is not an integer (in footprint)" v
-
-let try_region env (ix : Ixfn.t) : clmad list option =
-  match List.rev (Ixfn.chain ix) with
+let try_region env (m : rmem) : clmad list option =
+  match List.rev m.rix with
   | [] -> None
   | mem :: _ -> (
-      try Refset.concretize (int_env env) (Refset.of_lmad mem)
-      with Exec_error _ -> None)
+      try Some [ concretize_lmad env mem ] with Exec_error _ -> None)
 
 (* An already-concrete array view's memory-side region. *)
 let region_of_cixfn (ix : cixfn) : clmad list option =
@@ -269,94 +706,35 @@ let region_of_cixfn (ix : cixfn) : clmad list option =
 
 (* Declared write footprints of a kernel statement: the memory
    annotations of its array-typed bindings. *)
-let pat_footprints env (s : stm) : Trace.footprint list =
+let pat_footprints env (s : rstm) : Trace.footprint list =
   List.filter_map
-    (fun pe ->
-      match (pe.pt, pe.pmem) with
+    (fun rp ->
+      match (rp.rtyp, rp.rmem) with
       | TArr _, Some m -> (
-          match lookup env m.block with
+          match lookup env m.rblock with
           | AMem b ->
               Some
-                {
-                  Trace.fvar = pe.pv;
-                  fbid = b.bid;
-                  fregion = try_region env m.ixfn;
-                }
+                { Trace.fvar = rp.rv; fbid = b.bid; fregion = try_region env m }
           | _ -> None)
       | _ -> None)
-    s.pat
+    s.rpat
 
-(* Every variable name occurring in a block (conservative: includes
-   locally bound names, which simply fail the environment lookup). *)
-let rec names_in_block (blk : block) acc =
-  let acc = List.fold_left (fun acc s -> names_in_stm s acc) acc blk.stms in
-  List.fold_left (fun acc a -> name_of_atom a acc) acc blk.res
-
-and name_of_atom a acc = match a with Var v -> v :: acc | _ -> acc
-
-and names_in_stm (s : stm) acc =
-  match s.exp with
-  | EAtom a | EUn (_, a) -> name_of_atom a acc
-  | EBin (_, a, b) | ECmp (_, a, b) -> name_of_atom a (name_of_atom b acc)
-  | EIdx _ | EIota _ | EScratch _ | EAlloc _ -> acc
-  | EIndex (v, _)
-  | ESlice (v, _)
-  | ETranspose (v, _)
-  | EReshape (v, _)
-  | EReverse (v, _)
-  | ECopy v
-  | EArgmin v ->
-      v :: acc
-  | EConcat vs -> vs @ acc
-  | EReplicate (_, a) -> name_of_atom a acc
-  | EUpdate { dst; src; _ } -> (
-      let acc = dst :: acc in
-      match src with
-      | SrcScalar a -> name_of_atom a acc
-      | SrcArr v -> v :: acc)
-  | EMap { body; _ } -> names_in_block body acc
-  | EReduce { ne; arr; _ } -> name_of_atom ne (arr :: acc)
-  | ELoop { params; body; _ } ->
-      let acc =
-        List.fold_left (fun acc (_, init) -> name_of_atom init acc) acc params
-      in
-      names_in_block body acc
-  | EIf { cond; tb; fb } ->
-      name_of_atom cond (names_in_block tb (names_in_block fb acc))
-
-(* Memory destinations annotated anywhere inside a kernel body whose
-   block already exists at launch (hoisted scratch): the kernel is
-   declared to write - and therefore also read - them. *)
-let rec body_dest_footprints env (blk : block) acc =
-  List.fold_left
-    (fun acc s ->
-      let acc =
-        List.fold_left
-          (fun acc pe ->
-            match pe.pmem with
-            | Some m -> (
-                match SM.find_opt m.block env with
-                | Some (AMem b) ->
-                    { Trace.fvar = pe.pv; fbid = b.bid; fregion = None } :: acc
-                | _ -> acc)
-            | None -> acc)
-          acc s.pat
-      in
-      match s.exp with
-      | EMap { body; _ } | ELoop { body; _ } -> body_dest_footprints env body acc
-      | EIf { tb; fb; _ } ->
-          body_dest_footprints env tb (body_dest_footprints env fb acc)
-      | _ -> acc)
-    acc blk.stms
+(* Blocks annotated inside a kernel body that already exist at launch. *)
+let dest_footprints env dests : Trace.footprint list =
+  List.filter_map
+    (fun (v, slot) ->
+      match env.(slot) with
+      | AMem b -> Some { Trace.fvar = v; fbid = b.bid; fregion = None }
+      | _ -> None)
+    dests
 
 (* Declared read footprints of a kernel body: the full (concrete) view
    of every outer array the body mentions by name. *)
-let read_footprints env (blk : block) : Trace.footprint list =
-  let names = List.sort_uniq compare (names_in_block blk []) in
+let read_footprints env reads : Trace.footprint list =
   List.filter_map
-    (fun v ->
-      match SM.find_opt v env with
-      | Some (AArr a) ->
+    (fun (v, slot) ->
+      match env.(slot) with
+      | AArr a ->
           Some
             {
               Trace.fvar = v;
@@ -364,7 +742,7 @@ let read_footprints env (blk : block) : Trace.footprint list =
               fregion = region_of_cixfn a.ix;
             }
       | _ -> None)
-    names
+    reads
 
 let arr_footprint v (a : arrv) : Trace.footprint =
   { Trace.fvar = v; fbid = a.block.bid; fregion = region_of_cixfn a.ix }
@@ -397,18 +775,29 @@ let ensure_payload (b : blockv) (elt : sct) : payload =
       b.payload <- Some p;
       p
 
+let tally_reset st =
+  Hashtbl.reset st.kernel_reads_tally;
+  st.tally_bid <- 0
+
 let tally_reads st (a : blockv) bytes =
-  let prev =
-    match Hashtbl.find_opt st.kernel_reads_tally a.bid with
-    | Some (b, _) -> b
-    | None -> 0.
-  in
-  Hashtbl.replace st.kernel_reads_tally a.bid (prev +. bytes, a.bsize)
+  if a.bid <> st.tally_bid then begin
+    let t =
+      match Hashtbl.find_opt st.kernel_reads_tally a.bid with
+      | Some t -> t
+      | None ->
+          let t = { bytes = 0.; tsize = a.bsize } in
+          Hashtbl.replace st.kernel_reads_tally a.bid t;
+          t
+    in
+    st.tally_bid <- a.bid;
+    st.tally_cell <- t
+  end;
+  st.tally_cell.bytes <- st.tally_cell.bytes +. bytes
 
 let read_cell st (a : blockv) elt (off : int) : aval =
   (if st.kernel_depth = 0 then
      st.counters.kernel_reads <- st.counters.kernel_reads +. elem_bytes
-   else if not (Hashtbl.mem st.thread_writes (a.bid, off)) then
+   else if not (Cells.mem st.thread_writes a.bid off) then
      tally_reads st a elem_bytes);
   (match st.tracer with
   | Some tr when st.kernel_depth > 0 && st.mode = Full ->
@@ -419,7 +808,8 @@ let read_cell st (a : blockv) elt (off : int) : aval =
       match elt with F64 -> AFloat 0.5 | I64 -> AInt 0 | Bool -> ABool true)
   | Full -> (
       if off < 0 || off >= a.bsize then
-        err "exec: read out of bounds in %s (%d / %d)" a.bname off a.bsize;
+        err "exec: read out of bounds in %s (%d / %d)" (block_name a) off
+          a.bsize;
       match ensure_payload a elt with
       | PF d -> AFloat d.(off)
       | PI d -> AInt d.(off)
@@ -433,8 +823,7 @@ let write_cell st (a : blockv) elt (off : int) (v : aval) : unit =
     | _ -> off
   in
   st.counters.kernel_writes <- st.counters.kernel_writes +. elem_bytes;
-  if st.kernel_depth > 0 then
-    Hashtbl.replace st.thread_writes (a.bid, off) ();
+  if st.kernel_depth > 0 then Cells.add st.thread_writes a.bid off;
   (match st.tracer with
   | Some tr when st.kernel_depth > 0 && st.mode = Full ->
       Trace.kernel_write tr ~bid:a.bid ~off
@@ -443,12 +832,13 @@ let write_cell st (a : blockv) elt (off : int) (v : aval) : unit =
   | Cost_only -> ()
   | Full -> (
       if off < 0 || off >= a.bsize then
-        err "exec: write out of bounds in %s (%d / %d)" a.bname off a.bsize;
+        err "exec: write out of bounds in %s (%d / %d)" (block_name a) off
+          a.bsize;
       match (ensure_payload a elt, v) with
       | PF d, AFloat x -> d.(off) <- x
       | PI d, AInt x -> d.(off) <- x
       | PB d, ABool x -> d.(off) <- x
-      | _ -> err "exec: type mismatch writing %s" a.bname)
+      | _ -> err "exec: type mismatch writing %s" (block_name a))
 
 (* Raw data movement that bypasses the kernel counters (used by copy
    accounting, which maintains its own counters). *)
@@ -460,8 +850,17 @@ let move_cell (src : blockv) (dst : blockv) elt (soff : int) (doff : int) :
   | PB s, PB d -> d.(doff) <- s.(soff)
   | _ -> err "exec: copy type mismatch"
 
-(* All logical indices of a concrete shape, row-major. *)
-let indices shape = Value.indices shape
+(* Call [f] on every logical index of a concrete shape, in the
+   row-major order of {!Ir.Value.indices}, without building the list. *)
+let iter_indices shape f =
+  let rec go rev_prefix = function
+    | [] -> f (List.rev rev_prefix)
+    | n :: rest ->
+        for i = 0 to n - 1 do
+          go (i :: rev_prefix) rest
+        done
+  in
+  go [] shape
 
 let count shape = List.fold_left ( * ) 1 shape
 
@@ -500,8 +899,7 @@ let copy_logical st elt shape (sb : blockv) (six : cixfn) (db : blockv)
     match st.mode with
     | Cost_only -> ()
     | Full ->
-        List.iter
-          (fun idx ->
+        iter_indices shape (fun idx ->
             let so = capply six idx and dof = capply dix idx in
             (match st.tracer with
             | Some tr when st.kernel_depth > 0 ->
@@ -509,14 +907,16 @@ let copy_logical st elt shape (sb : blockv) (six : cixfn) (db : blockv)
                 Trace.kernel_write tr ~bid:db.bid ~off:dof
             | _ -> ());
             move_cell sb db elt so dof)
-          (indices shape)
   end
 
 (* ---------------------------------------------------------------- *)
 (* Concrete slicing of index functions                               *)
 (* ---------------------------------------------------------------- *)
 
-let cslice_triplet env (sds : slice_dim list) (ix : cixfn) : cixfn =
+(* Triplet-slice the head of a concrete index function.  [dim] maps one
+   slice dimension and the head's stride there to the offset it adds
+   and, for a range, the (cardinal, stride) it keeps. *)
+let cslice_triplet dim sds (ix : cixfn) : cixfn =
   match ix with
   | [] -> err "exec: slicing empty ixfn"
   | l :: rest ->
@@ -527,16 +927,27 @@ let cslice_triplet env (sds : slice_dim list) (ix : cixfn) : cixfn =
         List.concat
           (List.map2
              (fun sd (_, s) ->
-               match sd with
-               | SFix i ->
-                   off := !off + (eval_poly env i * s);
-                   []
-               | SRange { start; len; step } ->
-                   off := !off + (eval_poly env start * s);
-                   [ (eval_poly env len, eval_poly env step * s) ])
+               let o, kept = dim sd s in
+               off := !off + o;
+               kept)
              sds l.cdims)
       in
       { coff = !off; cdims = dims } :: rest
+
+let rslice_dim env sd s =
+  match sd with
+  | RFix i -> (eval_poly env i * s, [])
+  | RRange (start, len, step) ->
+      (eval_poly env start * s, [ (eval_poly env len, eval_poly env step * s) ])
+
+(* The full-extent sub-array at a fixed index prefix: [idx] fixes the
+   leading dimensions and [shape] spans the rest. *)
+let csub idx shape (ix : cixfn) : cixfn =
+  cslice_triplet
+    (fun sd s ->
+      match sd with `Fix i -> (i * s, []) | `All d -> (0, [ (d, s) ]))
+    (List.map (fun i -> `Fix i) idx @ List.map (fun d -> `All d) shape)
+    ix
 
 (* Merge adjacent concrete dims (flatten), required for LMAD slicing. *)
 let cflatten (l : clmad) : clmad option =
@@ -554,7 +965,7 @@ let cflatten (l : clmad) : clmad option =
   | Some [] -> Some { coff = l.coff; cdims = [ (1, 1) ] }
   | _ -> None
 
-let cslice_lmad env (slc : Lmad.t) (ix : cixfn) : cixfn =
+let cslice_lmad env (slc : rlmad) (ix : cixfn) : cixfn =
   match ix with
   | [] -> err "exec: slicing empty ixfn"
   | l :: rest -> (
@@ -562,20 +973,18 @@ let cslice_lmad env (slc : Lmad.t) (ix : cixfn) : cixfn =
       | None -> err "exec: LMAD slice of non-flattenable layout"
       | Some flat ->
           let base_s = match flat.cdims with [ (_, s) ] -> s | _ -> 1 in
-          let coff = flat.coff + (eval_poly env (Lmad.offset slc) * base_s) in
+          let coff = flat.coff + (eval_poly env slc.roff * base_s) in
           let cdims =
             List.map
-              (fun d ->
-                ( eval_poly env d.Lmad.n,
-                  eval_poly env d.Lmad.s * base_s ))
-              (Lmad.dims slc)
+              (fun (n, s) -> (eval_poly env n, eval_poly env s * base_s))
+              slc.rdims
           in
           { coff; cdims } :: rest)
 
-let cslice env (slc : slice) (ix : cixfn) : cixfn =
+let cslice env (slc : rslice) (ix : cixfn) : cixfn =
   match slc with
-  | STriplet sds -> cslice_triplet env sds ix
-  | SLmad l -> cslice_lmad env l ix
+  | RTriplet sds -> cslice_triplet (rslice_dim env) sds ix
+  | RLmad l -> cslice_lmad env l ix
 
 (* ---------------------------------------------------------------- *)
 (* Scalar operations (tolerant in cost-only mode)                    *)
@@ -631,79 +1040,83 @@ let un st op a =
   | ToI64, AFloat x -> AInt (int_of_float x)
   | _ -> err "exec: ill-typed unop"
 
-let eval_atom env = function
-  | Var v -> lookup env v
-  | Int i -> AInt i
-  | Float f -> AFloat f
-  | Bool b -> ABool b
+let eval_atom env = function RVar r -> lookup env r | RConst v -> v
 
 (* ---------------------------------------------------------------- *)
 (* Memory info of a pattern element                                   *)
 (* ---------------------------------------------------------------- *)
 
-let mem_info_of pe =
-  match pe.pmem with
+let mem_info_of rp =
+  match rp.rmem with
   | Some m -> m
-  | None -> err "exec: %s has no memory annotation" pe.pv
-
-let bind_result env pe (v : aval) = SM.add pe.pv v env
+  | None -> err "exec: %s has no memory annotation" rp.rv
 
 (* The destination (block, ixfn) a pattern element is annotated with.
    Binding a fresh occupant into a freed block (a scratch declaration
    ahead of the kernel that fills it) reclaims it from the pool. *)
-let dest_of st env pe =
-  let m = mem_info_of pe in
-  let b = lookup_block env m.block in
+let dest_of st env rp =
+  let m = mem_info_of rp in
+  let b = lookup_block env m.rblock in
   if b.freed then pool_revive st b;
-  (b, concretize env m.ixfn)
+  (b, concretize env m.rix)
 
-let arr_of_pat st env pe =
-  match pe.pt with
-  | TArr (elt, shape) ->
-      let block, ix = dest_of st env pe in
-      AArr { elt; shape = List.map (eval_poly env) shape; block; ix }
-  | _ -> err "exec: %s is not an array pattern" pe.pv
+let arr_of_pat st env rp =
+  match rp.rtyp with
+  | TArr (elt, _) ->
+      let block, ix = dest_of st env rp in
+      AArr { elt; shape = List.map (eval_poly env) rp.rshape; block; ix }
+  | _ -> err "exec: %s is not an array pattern" rp.rv
+
+let new_block st ?bname bsize =
+  st.next_bid <- st.next_bid + 1;
+  {
+    bid = st.next_bid;
+    bname;
+    bsize;
+    payload = None;
+    devbytes = 0.;
+    freed = false;
+  }
 
 (* ---------------------------------------------------------------- *)
 (* Expression execution                                              *)
 (* ---------------------------------------------------------------- *)
 
-let block_counter = ref 0
+let label_or default (s : rstm) = Option.value s.label ~default
 
-let rec exec_exp st env (s : stm) : aval list =
-  let e = s.exp in
-  match e with
-  | EAtom a -> [ eval_atom env a ]
-  | EBin (op, a, b) -> [ bin st op (eval_atom env a) (eval_atom env b) ]
-  | ECmp (op, a, b) -> [ cmp st op (eval_atom env a) (eval_atom env b) ]
-  | EUn (op, a) -> [ un st op (eval_atom env a) ]
-  | EIdx p -> [ AInt (eval_poly env p) ]
-  | EIndex (v, idxs) ->
+let rec exec_exp st env (s : rstm) : aval list =
+  match s.rexp with
+  | XAtom a -> [ eval_atom env a ]
+  | XBin (op, a, b) -> [ bin st op (eval_atom env a) (eval_atom env b) ]
+  | XCmp (op, a, b) -> [ cmp st op (eval_atom env a) (eval_atom env b) ]
+  | XUn (op, a) -> [ un st op (eval_atom env a) ]
+  | XIdx p -> [ AInt (eval_poly env p) ]
+  | XIndex (v, idxs) ->
       let a = lookup_arr env v in
       let is = List.map (eval_poly env) idxs in
       [ read_cell st a.block a.elt (capply a.ix is) ]
-  | ESlice (v, _) | ETranspose (v, _) | EReshape (v, _) | EReverse (v, _) ->
+  | XView v ->
       (* O(1): the result's annotation holds the transformed ixfn *)
       let a = lookup_arr env v in
-      let pe = List.hd s.pat in
-      let _, ix = dest_of st env pe in
+      let rp = List.hd s.rpat in
+      let _, ix = dest_of st env rp in
       [
         AArr
           {
             elt = a.elt;
             shape =
-              (match pe.pt with
-              | TArr (_, shape) -> List.map (eval_poly env) shape
+              (match rp.rtyp with
+              | TArr _ -> List.map (eval_poly env) rp.rshape
               | _ -> err "exec: view with non-array pattern");
             block = a.block;
             ix;
           };
       ]
-  | EIota n ->
-      let pe = List.hd s.pat in
-      let out = arr_of_pat st env pe in
+  | XIota n ->
+      let rp = List.hd s.rpat in
+      let out = arr_of_pat st env rp in
       let n = eval_poly env n in
-      launch_kernel st ~label:pe.pv
+      launch_kernel st ~label:rp.rv
         ~declared:(fun () -> (pat_footprints env s, [], n))
         (fun () ->
           match out with
@@ -718,11 +1131,11 @@ let rec exec_exp st env (s : stm) : aval list =
                     st.counters.kernel_writes +. (float_of_int n *. elem_bytes));
               [ out ]
           | _ -> Core.Fault.internal ~where:"Exec.iota" "scalar destination")
-  | EReplicate (_, a) ->
-      let pe = List.hd s.pat in
-      let out = arr_of_pat st env pe in
+  | XReplicate a ->
+      let rp = List.hd s.rpat in
+      let out = arr_of_pat st env rp in
       let v = eval_atom env a in
-      launch_kernel st ~label:pe.pv
+      launch_kernel st ~label:rp.rv
         ~declared:(fun () ->
           ( pat_footprints env s,
             [],
@@ -733,27 +1146,24 @@ let rec exec_exp st env (s : stm) : aval list =
               let n = count o.shape in
               (match st.mode with
               | Full ->
-                  List.iter
-                    (fun idx -> write_cell st o.block o.elt (capply o.ix idx) v)
-                    (indices o.shape)
+                  iter_indices o.shape (fun idx ->
+                      write_cell st o.block o.elt (capply o.ix idx) v)
               | Cost_only ->
                   st.counters.kernel_writes <-
                     st.counters.kernel_writes +. (float_of_int n *. elem_bytes));
               [ out ]
           | _ ->
               Core.Fault.internal ~where:"Exec.replicate" "scalar destination")
-  | EScratch _ ->
+  | XScratch ->
       (* no writes: just bind the destination *)
-      [ arr_of_pat st env (List.hd s.pat) ]
-  | ECopy v ->
+      [ arr_of_pat st env (List.hd s.rpat) ]
+  | XCopy v ->
       let a = lookup_arr env v in
-      let pe = List.hd s.pat in
-      let db, dix = dest_of st env pe in
+      let db, dix = dest_of st env (List.hd s.rpat) in
       copy_logical st a.elt a.shape a.block a.ix db dix;
       [ AArr { a with block = db; ix = dix } ]
-  | EConcat vs ->
-      let pe = List.hd s.pat in
-      let out = arr_of_pat st env pe in
+  | XConcat vs ->
+      let out = arr_of_pat st env (List.hd s.rpat) in
       (match out with
       | AArr o ->
           let row = ref 0 in
@@ -761,39 +1171,36 @@ let rec exec_exp st env (s : stm) : aval list =
             (fun v ->
               let a = lookup_arr env v in
               let d0 = List.hd a.shape in
-              let slc =
-                SRange
-                  { start = P.const !row; len = P.const d0; step = P.one }
-                :: List.map
-                     (fun d -> SRange { start = P.zero; len = P.const d; step = P.one })
-                     (List.tl a.shape)
+              let dix =
+                cslice_triplet
+                  (fun (start, len) s -> (start * s, [ (len, s) ]))
+                  ((!row, d0) :: List.map (fun d -> (0, d)) (List.tl a.shape))
+                  o.ix
               in
-              let dix = cslice_triplet env slc o.ix in
               copy_logical st a.elt a.shape a.block a.ix o.block dix;
               row := !row + d0)
             vs
-      | _ ->
-          Core.Fault.internal ~where:"Exec.concat" "scalar destination");
+      | _ -> Core.Fault.internal ~where:"Exec.concat" "scalar destination");
       [ out ]
-  | EUpdate { dst; slc; src } -> (
+  | XUpdate { dst; slc; src } -> (
       let d = lookup_arr env dst in
       let tix = cslice env slc d.ix in
       match src with
-      | SrcScalar a ->
+      | RSrcScalar a ->
           let v = eval_atom env a in
           write_cell st d.block d.elt (capply tix []) v;
           [ AArr d ]
-      | SrcArr sv ->
+      | RSrcArr sv ->
           let sa = lookup_arr env sv in
           copy_logical st sa.elt sa.shape sa.block sa.ix d.block tix;
           [ AArr d ])
-  | EMap { nest; body } -> exec_map st env s nest body
-  | EReduce { op; ne; arr } ->
+  | XMap { nest; body; dests; reads } ->
+      exec_map st env s nest body ~dests ~reads
+  | XReduce { op; ne; arr } ->
       let a = lookup_arr env arr in
       let n = count a.shape in
-      launch_kernel st
-        ~label:(match s.pat with pe :: _ -> pe.pv | [] -> "reduce")
-        ~declared:(fun () -> ([], [ arr_footprint arr a ], n))
+      launch_kernel st ~label:(label_or "reduce" s)
+        ~declared:(fun () -> ([], [ arr_footprint arr.name a ], n))
         (fun () ->
           match st.mode with
           | Full ->
@@ -806,12 +1213,11 @@ let rec exec_exp st env (s : stm) : aval list =
               tally_reads st a.block (float_of_int n *. elem_bytes);
               st.counters.flops <- st.counters.flops +. float_of_int n;
               [ eval_atom env ne ])
-  | EArgmin arr ->
+  | XArgmin arr ->
       let a = lookup_arr env arr in
       let n = count a.shape in
-      launch_kernel st
-        ~label:(match s.pat with pe :: _ -> pe.pv | [] -> "argmin")
-        ~declared:(fun () -> ([], [ arr_footprint arr a ], n))
+      launch_kernel st ~label:(label_or "argmin" s)
+        ~declared:(fun () -> ([], [ arr_footprint arr.name a ], n))
         (fun () ->
           match st.mode with
           | Full ->
@@ -829,26 +1235,20 @@ let rec exec_exp st env (s : stm) : aval list =
               tally_reads st a.block (float_of_int n *. elem_bytes);
               st.counters.flops <- st.counters.flops +. float_of_int n;
               [ AFloat 0.5; AInt 0 ])
-  | ELoop { params; var; bound; body } ->
+  | XLoop { params; var; bound; body; scalar_carry } ->
       let n = eval_poly env bound in
       let run_iter vals i =
-        let env' =
-          List.fold_left2
-            (fun acc (pe, _) v -> SM.add pe.pv v acc)
-            env params vals
-        in
-        let env' = SM.add var (AInt i) env' in
-        exec_block st env' body
+        List.iter2 (fun (_, slot, _) v -> env.(slot) <- v) params vals;
+        env.(var) <- AInt i;
+        exec_block st env body
       in
-      let scalar_carry =
-        List.exists (fun (pe, _) -> pe.pt = TScalar I64) params
-      in
+      let init () = List.map (fun (_, _, init) -> eval_atom env init) params in
       if st.mode = Cost_only && n >= 24 && not scalar_carry then begin
         (* Simpson-sampled loop: run iterations 0, n/2 and n-1 from the
            initial state and charge n * (d0 + 4*dmid + dlast)/6 - exact
            for per-iteration costs up to quadratic in the index (NW's
            wavefront, LUD's shrinking interior). *)
-        let init = List.map (fun (_, init) -> eval_atom env init) params in
+        let init = init () in
         let base = Device.clone st.counters in
         (* The per-kernel read tallies are part of the sampled state:
            when the loop itself runs inside a kernel (NN's per-thread
@@ -858,23 +1258,27 @@ let rec exec_exp st env (s : stm) : aval list =
            see only the three sampled iterations' reads.  At top level
            every launch drains its own tally and the deltas are empty. *)
         let tally_list () =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.kernel_reads_tally []
+          Hashtbl.fold
+            (fun k t acc -> (k, t.bytes, t.tsize) :: acc)
+            st.kernel_reads_tally []
         in
         let tally_restore snap =
-          Hashtbl.reset st.kernel_reads_tally;
+          tally_reset st;
           List.iter
-            (fun (k, v) -> Hashtbl.replace st.kernel_reads_tally k v)
+            (fun (k, bytes, tsize) ->
+              Hashtbl.replace st.kernel_reads_tally k { bytes; tsize })
             snap
         in
         let tally_delta before =
           Hashtbl.fold
-            (fun bid (bytes, bsize) acc ->
+            (fun bid t acc ->
               let prev =
-                match List.assoc_opt bid before with
-                | Some (b, _) -> b
+                match List.find_opt (fun (b, _, _) -> b = bid) before with
+                | Some (_, b, _) -> b
                 | None -> 0.
               in
-              if bytes > prev then (bid, bytes -. prev, bsize) :: acc else acc)
+              if t.bytes > prev then (bid, t.bytes -. prev, t.tsize) :: acc
+              else acc)
             st.kernel_reads_tally []
         in
         let tbase = tally_list () in
@@ -943,20 +1347,19 @@ let rec exec_exp st env (s : stm) : aval list =
           (fun bid ->
             let d = wf (find bid t0) (find bid tm) (find bid tl) in
             match bsize_of bid with
-            | Some bsize when d > 0. ->
-                let prev =
-                  match Hashtbl.find_opt st.kernel_reads_tally bid with
-                  | Some (b, _) -> b
-                  | None -> 0.
-                in
-                Hashtbl.replace st.kernel_reads_tally bid (prev +. d, bsize)
+            | Some tsize when d > 0. -> (
+                match Hashtbl.find_opt st.kernel_reads_tally bid with
+                | Some t -> t.bytes <- t.bytes +. d
+                | None ->
+                    Hashtbl.replace st.kernel_reads_tally bid
+                      { bytes = 0. +. d; tsize })
             | _ -> ())
           (List.sort_uniq compare
              (List.map (fun (b, _, _) -> b) (t0 @ tm @ tl)));
         vals
       end
       else begin
-        let vals = ref (List.map (fun (_, init) -> eval_atom env init) params) in
+        let vals = ref (init ()) in
         for i = 0 to n - 1 do
           let prev = !vals in
           vals := run_iter prev i;
@@ -974,11 +1377,11 @@ let rec exec_exp st env (s : stm) : aval list =
                 !vals
             in
             List.iter2
-              (fun (pe, _) v ->
+              (fun (pv, _, _) v ->
                 match v with
                 | AArr a when not (List.mem a.block.bid new_bids) ->
                     (match st.tracer with
-                    | Some tr -> Trace.last_use tr ~var:pe.pv ~bid:a.block.bid
+                    | Some tr -> Trace.last_use tr ~var:pv ~bid:a.block.bid
                     | None -> ());
                     pool_free st a.block
                 | _ -> ())
@@ -987,24 +1390,14 @@ let rec exec_exp st env (s : stm) : aval list =
         done;
         !vals
       end
-  | EIf { cond; tb; fb } -> (
+  | XIf { cond; tb; fb } -> (
       match eval_atom env cond with
       | ABool true -> exec_block st env tb
       | ABool false -> exec_block st env fb
       | _ -> err "exec: non-boolean condition")
-  | EAlloc size ->
-      incr block_counter;
+  | XAlloc size ->
       let n = eval_poly env size in
-      let b =
-        {
-          bid = !block_counter;
-          bname = Printf.sprintf "blk%d" !block_counter;
-          bsize = n;
-          payload = None;
-          devbytes = 0.;
-          freed = false;
-        }
-      in
+      let b = new_block st n in
       if st.kernel_depth = 0 then begin
         st.counters.allocs <- st.counters.allocs + 1;
         st.alloc_seq <- st.alloc_seq + 1;
@@ -1012,11 +1405,10 @@ let rec exec_exp st env (s : stm) : aval list =
            device allocations - one pool transaction each - but counted
            separately so the bench surface can report suballocation *)
         let bytes = float_of_int n *. elem_bytes in
-        (match s.pat with
-        | [ pe ] when Core.Pack.is_arena pe.pv ->
-            st.counters.arena_allocs <- st.counters.arena_allocs + 1;
-            st.counters.arena_bytes <- st.counters.arena_bytes +. bytes
-        | _ -> ());
+        if s.arena then begin
+          st.counters.arena_allocs <- st.counters.arena_allocs + 1;
+          st.counters.arena_bytes <- st.counters.arena_bytes +. bytes
+        end;
         st.counters.alloc_bytes <- st.counters.alloc_bytes +. bytes;
         st.counters.live_bytes <- st.counters.live_bytes +. bytes;
         if st.counters.live_bytes > st.counters.peak_bytes then
@@ -1069,7 +1461,7 @@ let rec exec_exp st env (s : stm) : aval list =
       end;
       (match st.tracer with
       | Some tr ->
-          Trace.alloc tr ~bid:b.bid ~name:b.bname ~elems:n
+          Trace.alloc tr ~bid:b.bid ~name:(block_name b) ~elems:n
             ~in_kernel:(st.kernel_depth > 0)
       | None -> ());
       [ AMem b ]
@@ -1082,11 +1474,11 @@ and launch_kernel st ~label ~declared f =
   if top then begin
     st.counters.kernels <- st.counters.kernels + 1;
     st.kernel_scratch <- 0.;
-    Hashtbl.reset st.kernel_reads_tally;
+    tally_reset st;
     (* the read-after-own-write suppression is per thread; without
        this reset a reduce/argmin launch inherits the previous
        kernel's final thread and under-counts its first-touch reads *)
-    Hashtbl.reset st.thread_writes;
+    Cells.clear st.thread_writes;
     match st.tracer with
     | Some tr ->
         let declared_writes, declared_reads, threads = declared () in
@@ -1106,10 +1498,10 @@ and launch_kernel st ~label ~declared f =
   if top then begin
     (* perfect-L2: a kernel reads each block location from DRAM once *)
     Hashtbl.iter
-      (fun _ (bytes, bsize) ->
+      (fun _ t ->
         st.counters.kernel_reads <-
           st.counters.kernel_reads
-          +. Float.min bytes (float_of_int bsize *. elem_bytes))
+          +. Float.min t.bytes (float_of_int t.tsize *. elem_bytes))
       st.kernel_reads_tally;
     if st.counters.live_bytes +. st.kernel_scratch > st.counters.peak_bytes
     then
@@ -1126,52 +1518,40 @@ and launch_kernel st ~label ~declared f =
 
 (* Mapnest execution: one kernel; full mode iterates every thread,
    cost-only samples the midpoint thread and scales. *)
-and exec_map st env (s : stm) nest body : aval list =
+and exec_map st env (s : rstm) nest body ~dests ~reads : aval list =
   let dims = List.map (fun (_, n) -> eval_poly env n) nest in
   let points = count dims in
-  let outs = List.map (fun pe -> arr_of_pat st env pe) s.pat in
-  let run_thread env idx =
-    Hashtbl.reset st.thread_writes;
-    let env' =
-      List.fold_left2
-        (fun acc (v, _) i -> SM.add v (AInt i) acc)
-        env nest idx
-    in
-    let results = exec_block st env' body in
+  let outs = List.map (fun rp -> arr_of_pat st env rp) s.rpat in
+  let run_thread idx =
+    Cells.clear st.thread_writes;
+    List.iter2 (fun (slot, _) i -> env.(slot) <- AInt i) nest idx;
+    let results = exec_block st env body in
     (* implicit write of each per-thread result into its slot *)
     List.iter2
       (fun out r ->
         match (out, r) with
         | AArr o, AArr ra ->
-            let slc =
-              List.map (fun i -> SFix (P.const i)) idx
-              @ List.map
-                  (fun d ->
-                    SRange { start = P.zero; len = P.const d; step = P.one })
-                  ra.shape
-            in
-            let slot = cslice_triplet env' slc o.ix in
-            copy_logical st ra.elt ra.shape ra.block ra.ix o.block slot
+            copy_logical st ra.elt ra.shape ra.block ra.ix o.block
+              (csub idx ra.shape o.ix)
         | AArr o, (AFloat _ | AInt _ | ABool _) ->
             write_cell st o.block o.elt (capply o.ix idx) r
         | _ -> err "exec: mapnest result mismatch")
       outs results
   in
-  launch_kernel st
-    ~label:(match s.pat with pe :: _ -> pe.pv | [] -> "map")
+  launch_kernel st ~label:(label_or "map" s)
     ~declared:(fun () ->
-      ( pat_footprints env s @ body_dest_footprints env body [],
-        read_footprints env body,
+      ( pat_footprints env s @ dest_footprints env dests,
+        read_footprints env reads,
         points ))
     (fun () ->
       (match st.mode with
-      | Full -> List.iter (fun idx -> run_thread env idx) (indices dims)
+      | Full -> iter_indices dims run_thread
       | Cost_only ->
           if points > 0 then begin
             let mid = List.map (fun d -> d / 2) dims in
             let snap = snapshot st.counters in
             let ks0 = st.kernel_scratch in
-            run_thread env mid;
+            run_thread mid;
             scale_delta st.counters snap (float_of_int points);
             (* every thread holds its own scratch while the kernel is
                in flight *)
@@ -1187,13 +1567,14 @@ and exec_map st env (s : stm) nest body : aval list =
                (capping happens when the kernel retires) *)
             let scaled =
               Hashtbl.fold
-                (fun bid (bytes, bsize) acc ->
-                  (bid, (bytes *. float_of_int points, bsize)) :: acc)
+                (fun bid t acc ->
+                  (bid, { t with bytes = t.bytes *. float_of_int points })
+                  :: acc)
                 st.kernel_reads_tally []
             in
-            Hashtbl.reset st.kernel_reads_tally;
+            tally_reset st;
             List.iter
-              (fun (bid, v) -> Hashtbl.replace st.kernel_reads_tally bid v)
+              (fun (bid, t) -> Hashtbl.replace st.kernel_reads_tally bid t)
               scaled
           end);
       outs)
@@ -1228,104 +1609,85 @@ and scale_delta (c : Device.counters) snap factor =
         (Float.round (float_of_int (c.scratch_allocs - sa0) *. factor));
   c.scratch_bytes <- sb0 +. ((c.scratch_bytes -. sb0) *. factor)
 
-and exec_block st env (b : block) : aval list =
-  let res_vars =
-    List.filter_map (function Var v -> Some v | _ -> None) b.res
-  in
-  (* Annotated block names of result variables bound by this block's
-     own statements.  A result variable bound by a LATER statement is
-     not yet in [env] while earlier statements execute, so its block
-     id must be resolved through the annotation name (the [EAlloc]
-     precedes any use of the block) - otherwise a last-use marker for
-     a co-resident variable would date the block's death before a
-     later in-block write (the rotated-loop pattern). *)
-  let res_blocks =
-    List.fold_left
-      (fun m (s : Ir.Ast.stm) ->
-        List.fold_left
-          (fun m (pe : Ir.Ast.pat_elem) ->
-            match pe.pmem with
-            | Some mi when List.mem pe.pv res_vars -> SM.add pe.pv mi.block m
-            | _ -> m)
-          m s.pat)
-      SM.empty b.stms
-  in
-  let env =
-    List.fold_left
-      (fun env s ->
-        let vals = exec_exp st env s in
-        if List.length vals <> List.length s.pat then
-          err "exec: arity mismatch";
-        let env = List.fold_left2 bind_result env s.pat vals in
-        (* Liveness markers are only meaningful at top level: inside a
-           kernel the same body runs once per thread, and per-thread
-           "deaths" say nothing about the cross-kernel liveness the
-           short-circuiting pass consumed. *)
-        (if st.kernel_depth = 0 then
-           (* A block aliased by a value this lexical block returns
-              provably flows past every statement here (a rotated
-              loop re-reads the carried buffer next iteration; a
-              result block is read by the enclosing code), so a
-              last-use marker for a variable living in it would date
-              the block's death too early. *)
-           let res_bids =
-             List.filter_map
-               (fun v ->
-                 match SM.find_opt v env with
-                 | Some (AArr a) -> Some a.block.bid
-                 | Some (AMem blk) -> Some blk.bid
-                 | _ -> (
-                     (* not bound yet: a later statement in this
-                        block binds it - resolve the annotated block
-                        name instead *)
-                     match SM.find_opt v res_blocks with
-                     | Some bname -> (
-                         match SM.find_opt bname env with
-                         | Some (AMem blk) -> Some blk.bid
-                         | _ -> None)
-                     | None -> None))
-               res_vars
-           in
-           List.iter
-             (fun v ->
-               match SM.find_opt v env with
-               | Some (AArr a) when not (List.mem a.block.bid res_bids) ->
-                   (match st.tracer with
-                   | Some tr -> Trace.last_use tr ~var:v ~bid:a.block.bid
-                   | None -> ());
-                   pool_free st a.block
-               | _ -> ())
-             s.last_uses);
-        env)
-      env b.stms
-  in
-  List.map (eval_atom env) b.res
+and exec_block st env (b : rblock) : aval list =
+  List.iter
+    (fun s ->
+      let vals = exec_exp st env s in
+      if List.length vals <> List.length s.rpat then err "exec: arity mismatch";
+      List.iter2 (fun rp v -> env.(rp.rslot) <- v) s.rpat vals;
+      (* Liveness markers are only meaningful at top level: inside a
+         kernel the same body runs once per thread, and per-thread
+         "deaths" say nothing about the cross-kernel liveness the
+         short-circuiting pass consumed. *)
+      if st.kernel_depth = 0 && s.lus <> [] then begin
+        (* A block aliased by a value this lexical block returns
+           provably flows past every statement here (a rotated loop
+           re-reads the carried buffer next iteration; a result block
+           is read by the enclosing code), so a last-use marker for a
+           variable living in it would date the block's death too
+           early. *)
+        let res_bids = List.filter_map (result_bid env) s.res_refs in
+        List.iter
+          (fun (v, r) ->
+            if r.slot >= 0 then
+              match env.(r.slot) with
+              | AArr a when not (List.mem a.block.bid res_bids) ->
+                  (match st.tracer with
+                  | Some tr -> Trace.last_use tr ~var:v ~bid:a.block.bid
+                  | None -> ());
+                  pool_free st a.block
+              | _ -> ())
+          s.lus
+      end)
+    b.rstms;
+  List.map (eval_atom env) b.rres
+
+(* The block a result variable lives in; when it is not bound yet (a
+   later statement of the block binds it), the block its annotation
+   names. *)
+and result_bid env (v, annotated) =
+  let bound = if v.slot >= 0 then Some env.(v.slot) else None in
+  match bound with
+  | Some (AArr a) -> Some a.block.bid
+  | Some (AMem blk) -> Some blk.bid
+  | _ -> (
+      match annotated with
+      | Some r when r.slot >= 0 -> (
+          match env.(r.slot) with AMem blk -> Some blk.bid | _ -> None)
+      | _ -> None)
 
 (* ---------------------------------------------------------------- *)
 (* Program entry                                                     *)
 (* ---------------------------------------------------------------- *)
 
-(* Wrap an input Value into (env additions): arrays get their own block
+(* A parameter's slots: an array parameter also binds its annotated
+   block name, ahead of itself. *)
+let r_param rs scope pe =
+  let bslot, scope =
+    match (pe.pt, pe.pmem) with
+    | TArr _, Some m ->
+        let slot = fresh_slot rs in
+        (slot, SM.add m.block slot scope)
+    | _ -> (-1, scope)
+  in
+  let slot = fresh_slot rs in
+  (SM.add pe.pv slot scope, (pe, bslot, slot))
+
+(* Wrap an input Value into the frame: arrays get their own block
    filled with the data (Full) or left virtual (Cost_only). *)
-let bind_param st env pe (v : Value.t) : env =
+let bind_param st env (pe, bslot, slot) (v : Value.t) =
   match (pe.pt, v) with
-  | TScalar _, Value.VInt i -> SM.add pe.pv (AInt i) env
-  | TScalar _, Value.VFloat f -> SM.add pe.pv (AFloat f) env
-  | TScalar _, Value.VBool b -> SM.add pe.pv (ABool b) env
+  | TScalar _, Value.VInt i -> env.(slot) <- AInt i
+  | TScalar _, Value.VFloat f -> env.(slot) <- AFloat f
+  | TScalar _, Value.VBool b -> env.(slot) <- ABool b
   | TArr (elt, _), Value.VArr a ->
-      let m = mem_info_of pe in
-      incr block_counter;
-      let n = Value.count a.Value.shape in
-      let blk =
-        {
-          bid = !block_counter;
-          bname = m.block;
-          bsize = n;
-          payload = None;
-          devbytes = 0.;
-          freed = false;
-        }
+      let m =
+        match pe.pmem with
+        | Some m -> m
+        | None -> err "exec: %s has no memory annotation" pe.pv
       in
+      let n = Value.count a.Value.shape in
+      let blk = new_block st ~bname:m.block n in
       (match st.mode with
       | Full ->
           let p = ensure_payload blk elt in
@@ -1339,35 +1701,34 @@ let bind_param st env pe (v : Value.t) : env =
       | Some tr ->
           Trace.alloc tr ~bid:blk.bid ~name:m.block ~elems:n ~in_kernel:false
       | None -> ());
-      let env = SM.add m.block (AMem blk) env in
-      SM.add pe.pv
-        (AArr
-           {
-             elt;
-             shape = a.Value.shape;
-             block = blk;
-             ix =
-               [
-                 {
-                   coff = 0;
-                   cdims =
-                     (let rec strides = function
-                        | [] -> []
-                        | [ _ ] -> [ 1 ]
-                        | _ :: rest ->
-                            let ss = strides rest in
-                            (match (rest, ss) with
-                            | n :: _, s :: _ -> n * s
-                            | _ ->
-                                Core.Fault.internal ~where:"Exec.strides"
-                                  "stride list out of step with shape")
-                            :: ss
-                      in
-                      List.combine a.Value.shape (strides a.Value.shape));
-                 };
-               ];
-           })
-        env
+      env.(bslot) <- AMem blk;
+      env.(slot) <-
+        AArr
+          {
+            elt;
+            shape = a.Value.shape;
+            block = blk;
+            ix =
+              [
+                {
+                  coff = 0;
+                  cdims =
+                    (let rec strides = function
+                       | [] -> []
+                       | [ _ ] -> [ 1 ]
+                       | _ :: rest ->
+                           let ss = strides rest in
+                           (match (rest, ss) with
+                           | n :: _, s :: _ -> n * s
+                           | _ ->
+                               Core.Fault.internal ~where:"Exec.strides"
+                                 "stride list out of step with shape")
+                           :: ss
+                     in
+                     List.combine a.Value.shape (strides a.Value.shape));
+                };
+              ];
+          }
   | _ -> err "exec: bad argument for %s" pe.pv
 
 (* Read an array value back out of device memory. *)
@@ -1382,8 +1743,8 @@ let materialize st (v : aval) : Value.t =
       | Cost_only -> Value.VArr (Value.shell a.elt a.shape)
       | Full ->
           let out = Value.zeros a.elt a.shape in
-          List.iteri
-            (fun i idx ->
+          let i = ref 0 in
+          iter_indices a.shape (fun idx ->
               let cell =
                 match read_cell st a.block a.elt (capply a.ix idx) with
                 | AFloat f -> Value.VFloat f
@@ -1393,8 +1754,8 @@ let materialize st (v : aval) : Value.t =
                     Core.Fault.internal ~where:"Exec.materialize"
                       "array cell read back as an array"
               in
-              Value.set_flat out i cell)
-            (indices a.shape);
+              Value.set_flat out !i cell;
+              incr i);
           Value.VArr out)
 
 type report = {
@@ -1415,6 +1776,10 @@ let run ?(mode = Full) ?(trace = false) ?(pool = true) ?pool_cap
         (Trace.create ~program:p.name ~variant ~exact:(mode = Full) ())
     else None
   in
+  let rs = ref 0 in
+  let scope, params = List.fold_left_map (r_param rs) SM.empty p.params in
+  let body = r_block rs scope p.body in
+  let env = Array.make !rs (AInt 0) in
   let st =
     {
       mode;
@@ -1428,20 +1793,20 @@ let run ?(mode = Full) ?(trace = false) ?(pool = true) ?pool_cap
       strict_cap;
       oom_at;
       alloc_seq = 0;
+      next_bid = 0;
       exec_faults = [];
       unfreed = 0;
       kernel_depth = 0;
       kernel_scratch = 0.;
-      thread_writes = Hashtbl.create 256;
+      thread_writes = Cells.create ();
       kernel_reads_tally = Hashtbl.create 64;
+      tally_bid = 0;
+      tally_cell = { bytes = 0.; tsize = 0 };
     }
   in
   if List.length args <> List.length p.params then
     err "exec: %s expects %d arguments" p.name (List.length p.params);
-  let env =
-    List.fold_left2 (fun env pe v -> bind_param st env pe v) SM.empty p.params
-      args
-  in
+  List.iter2 (bind_param st env) params args;
   (* Teardown: without a pool, every device allocation is eventually
      matched by a synchronizing [cudaFree] - blocks that died mid-run
      were already counted by [pool_free]; top up with the frees of the
@@ -1472,7 +1837,7 @@ let run ?(mode = Full) ?(trace = false) ?(pool = true) ?pool_cap
     end
   in
   let res =
-    Fun.protect ~finally:teardown (fun () -> exec_block st env p.body)
+    Fun.protect ~finally:teardown (fun () -> exec_block st env body)
   in
   (* reading back results is not part of the measured cost (or trace) *)
   let saved = st.counters.kernel_reads in

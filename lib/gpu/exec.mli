@@ -19,7 +19,9 @@
     With [~trace:true] the run additionally produces a {!Core.Trace.t}:
     a structured event log of allocations, kernel launches (with their
     declared-vs-actual footprints), copies and their elision decisions,
-    and last-use markers, ready for the {!Core.Memtrace} cross-check. *)
+    and last-use markers, ready for the {!Core.Memtrace} cross-check.
+    Block ids are numbered per run from 1, so a run's trace does not
+    depend on the runs the process made before it. *)
 
 exception Exec_error of string
 
