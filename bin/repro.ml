@@ -119,6 +119,63 @@ let find_bench s =
         (Printf.sprintf "unknown benchmark %S (try: %s)" s
            (String.concat ", " (List.map (fun b -> b.name) benches)))
 
+(* "all" or one benchmark, by name or table number *)
+let select = function
+  | "all" -> Ok benches
+  | s -> Result.map (fun b -> [ b ]) (find_bench s)
+
+let ( let* ) = Result.bind
+
+(* ---- files -------------------------------------------------------- *)
+
+let read_file path =
+  try Ok (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error e -> Error e
+
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
+
+let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+
+(* A JSON document as written to a file or stdout: one line. *)
+let doc j = Core.Json.to_string j ^ "\n"
+
+let today () =
+  let t = Unix.localtime (Unix.time ()) in
+  Printf.sprintf "%04d-%02d-%02d" (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1)
+    t.Unix.tm_mday
+
+(* ---- gates -------------------------------------------------------- *)
+
+(* The flow shared by the bench, pack-order and certificate gates: read
+   and parse the reference record at [path] ([role] names it in
+   errors) and the current record [cur_s], run [gate] on the two, print
+   the report (and [hint] when it has notes), copy it to [report], and
+   fail on any regression. *)
+let run_gate ~label ~role ~path ?(hint = "") ~report gate cur_s =
+  let parse what s =
+    Result.map_error (fun e -> what ^ " parse error: " ^ e) (Core.Json.parse s)
+  in
+  let* ref_s =
+    Result.map_error (Printf.sprintf "%s %s: %s" role path) (read_file path)
+  in
+  let* reference = parse role ref_s in
+  let* current = parse "current" cur_s in
+  let g = gate reference current in
+  let rep = Benchsuite.Benchjson.report ~label g in
+  print_string rep;
+  if g.Benchsuite.Benchjson.notes <> [] then print_string hint;
+  Option.iter
+    (fun path ->
+      write_file path rep;
+      Printf.printf "wrote %s\n" path)
+    report;
+  if Benchsuite.Benchjson.ok g then Ok ()
+  else
+    Error
+      (Printf.sprintf "%s failed: %d regression(s)" label
+         (List.length g.Benchsuite.Benchjson.regressions))
+
 (* ---- table ----------------------------------------------------- *)
 
 let pp_footprints ?(verbose = false) (o : Benchsuite.Runner.outcome) =
@@ -160,153 +217,44 @@ let pp_footprints ?(verbose = false) (o : Benchsuite.Runner.outcome) =
       end)
     o.footprints
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function
-         | '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
+(* How table and bench runs compile and price the suite: the pass
+   options, the pool model, the degradation ladder and the prover
+   budget, as set on the command line. *)
+type suite = {
+  options : Core.Shortcircuit.options;
+  reuse : Core.Reuse.options;
+  pack : Core.Pack.options;
+  pool : bool;
+  pool_cap : int option;
+  fail_safe : bool;
+  budget : Symalg.Prover.budget;
+}
 
-(* The prover's memoization effectiveness and budget pressure, shared
-   by BENCH.json and the combined certificate document.  A nonzero
-   [budget_exhausted] means some nonnegativity queries were truncated
-   by the step/memo budget - sound (the affected rewrites
-   were skipped) but a signal the budget is too tight for the suite. *)
-let prover_json (p : Symalg.Prover.stats) =
-  let rate h m =
-    if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m)
-  in
-  Printf.sprintf
-    "\"prover\":{\"sat_hits\":%d,\"sat_misses\":%d,\"sat_resets\":%d,\"sat_hit_rate\":%.4f,\"nonneg_hits\":%d,\"nonneg_misses\":%d,\"nonneg_resets\":%d,\"nonneg_hit_rate\":%.4f,\"budget_exhausted\":%d}"
-    p.Symalg.Prover.sat_hits p.Symalg.Prover.sat_misses
-    p.Symalg.Prover.sat_resets
-    (rate p.Symalg.Prover.sat_hits p.Symalg.Prover.sat_misses)
-    p.Symalg.Prover.nonneg_hits p.Symalg.Prover.nonneg_misses
-    p.Symalg.Prover.nonneg_resets
-    (rate p.Symalg.Prover.nonneg_hits p.Symalg.Prover.nonneg_misses)
-    p.Symalg.Prover.budget_exhausted
+let run_suite s b =
+  b.table ~options:s.options ~reuse:s.reuse ~pack:s.pack ~pool:s.pool
+    ?pool_cap:s.pool_cap ~fail_safe:s.fail_safe ()
 
-(* One machine-readable performance record for the whole suite:
-   per-benchmark modeled times and impacts per (device, dataset),
-   memory footprints of every variant, compile times, reuse-pass
-   statistics, and the prover's memoization effectiveness. *)
-let bench_json_of (outcomes : (bench * Benchsuite.Runner.outcome) list)
-    (pstats : Symalg.Prover.stats) : string =
-  let buf = Buffer.create 8192 in
-  let bench_obj (b, (o : Benchsuite.Runner.outcome)) =
-    let c = o.Benchsuite.Runner.compiled in
-    let fields fmt key l =
-      String.concat ","
-        (List.map (fun (v, x) -> Printf.sprintf fmt (key v) x) l)
-    in
-    let rows =
-      String.concat ","
-        (List.map
-           (fun (r : Benchsuite.Table.row) ->
-             (* the opt variant's impact is the paper's own column *)
-             Printf.sprintf
-               "{\"device\":\"%s\",\"dataset\":\"%s\",\"ref_ms\":%g,%s,%s}"
-               (json_escape r.Benchsuite.Table.device)
-               (json_escape r.Benchsuite.Table.dataset)
-               (r.Benchsuite.Table.ref_s *. 1e3)
-               (fields "\"%s_ms\":%g" Fun.id (Benchsuite.Table.ms r))
-               (fields "\"%s\":%g"
-                  (function "opt" -> "impact" | v -> v ^ "_impact")
-                  (Benchsuite.Table.impacts_of r)))
-           o.Benchsuite.Runner.table.Benchsuite.Table.rows)
-    in
-    let fp (f : Benchsuite.Runner.footprint) =
-      let pool =
-        match f.Benchsuite.Runner.f_pool with
-        | Some ps ->
-            let cap =
-              match ps.Gpu.Device.Pool.p_cap with
-              | Some c ->
-                  Printf.sprintf ",\"cap\":%g,\"evictions\":%d" c
-                    ps.Gpu.Device.Pool.p_evictions
-              | None -> ""
-            in
-            Printf.sprintf
-              ",\"pool\":{\"hits\":%d,\"misses\":%d,\"device_bytes\":%g,\"high_water_bytes\":%g,\"fragmentation\":%.4f%s}"
-              f.Benchsuite.Runner.f_pool_hits
-              f.Benchsuite.Runner.f_pool_misses
-              ps.Gpu.Device.Pool.p_device_bytes
-              ps.Gpu.Device.Pool.p_high_water
-              ps.Gpu.Device.Pool.p_fragmentation cap
-        | None -> ""
-      in
-      Printf.sprintf
-        "{\"allocs\":%d,\"arena_allocs\":%d,\"arena_bytes\":%g,\"scratch\":%d,\"alloc_bytes\":%g,\"peak_bytes\":%g,\"traffic_bytes\":%g%s}"
-        f.Benchsuite.Runner.f_allocs f.Benchsuite.Runner.f_arena_allocs
-        f.Benchsuite.Runner.f_arena_bytes f.Benchsuite.Runner.f_scratch
-        f.Benchsuite.Runner.f_alloc_bytes f.Benchsuite.Runner.f_peak_bytes
-        f.Benchsuite.Runner.f_traffic_bytes pool
-    in
-    let fps =
-      String.concat ","
-        (List.map
-           (fun (label, fs) ->
-             Printf.sprintf "{\"dataset\":\"%s\",%s}" (json_escape label)
-               (fields "\"%s\":%s" Fun.id
-                  (List.map (fun (v, f) -> (v, fp f)) fs)))
-           o.Benchsuite.Runner.footprints)
-    in
-    let rst = c.Core.Pipeline.reuse_stats in
-    let pst = c.Core.Pipeline.pack_stats in
-    (* per-pass obligation counts of the translation-validation run that
-       rides along with every table compile *)
-    let certify =
-      String.concat ","
-        (List.map
-           (fun (pass, (r : Core.Certify.report)) ->
-             Printf.sprintf
-               "\"%s\":{\"emitted\":%d,\"proved\":%d,\"concretized\":%d,\"failed\":%d}"
-               (json_escape pass) r.Core.Certify.emitted
-               r.Core.Certify.proved r.Core.Certify.concretized
-               r.Core.Certify.failed)
-           c.Core.Pipeline.certs)
-    in
-    Printf.sprintf
-      "{\"name\":\"%s\",\"table\":%d,\"rows\":[%s],\"footprints\":[%s],\"compile_s\":{\"base\":%g,\"shortcircuit\":%g,\"reuse\":%g,\"pack\":%g},\"dead_allocs\":%d,\"reuse_dead_allocs\":%d,\"pack_dead_allocs\":%d,\"reuse_stats\":{\"candidates\":%d,\"coalesced\":%d,\"size_proofs\":%d,\"chain_links\":%d,\"rotated\":%d,\"hoisted\":%d},\"pack_stats\":{\"arenas\":%d,\"packed\":%d,\"unpacked\":%d,\"offset_proofs\":%d,\"holes\":%d,\"promoted\":%d},\"certify\":{%s}}"
-      (json_escape b.name) b.table_no rows fps c.Core.Pipeline.time_base
-      c.Core.Pipeline.time_sc c.Core.Pipeline.time_reuse
-      c.Core.Pipeline.time_pack c.Core.Pipeline.dead_allocs
-      c.Core.Pipeline.reuse_dead_allocs c.Core.Pipeline.pack_dead_allocs
-      rst.Core.Reuse.candidates rst.Core.Reuse.coalesced
-      rst.Core.Reuse.size_proofs rst.Core.Reuse.chain_links
-      rst.Core.Reuse.rotated rst.Core.Reuse.hoisted pst.Core.Pack.arenas
-      pst.Core.Pack.packed pst.Core.Pack.unpacked
-      pst.Core.Pack.offset_proofs pst.Core.Pack.holes
-      pst.Core.Pack.promoted certify
-  in
-  let date =
-    let t = Unix.localtime (Unix.time ()) in
-    Printf.sprintf "%04d-%02d-%02d" (t.Unix.tm_year + 1900)
-      (t.Unix.tm_mon + 1) t.Unix.tm_mday
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"date\":\"%s\",\"benchmarks\":[%s],"
-       date
-       (String.concat "," (List.map bench_obj outcomes)));
-  Buffer.add_string buf (prover_json pstats ^ "}");
-  Buffer.contents buf
+(* One machine-readable performance record for the whole suite. *)
+let bench_record outcomes =
+  Benchsuite.Benchjson.bench_record ~date:(today ())
+    (List.map (fun (b, o) -> (b.name, b.table_no, o)) outcomes)
+    (Symalg.Prover.stats ())
 
-let default_bench_json_name () =
-  let t = Unix.localtime (Unix.time ()) in
-  Printf.sprintf "BENCH_%04d-%02d-%02d.json" (t.Unix.tm_year + 1900)
-    (t.Unix.tm_mon + 1) t.Unix.tm_mday
+let default_bench_json_name () = "BENCH_" ^ today () ^ ".json"
 
-let run_table which options reuse pack pool pool_cap fail_safe budget
-    bench_json out =
-  Symalg.Prover.set_budget budget;
+(* Every benchmark runs, every fault is named, and any degradation or
+   failure makes the exit nonzero: a run never dies on the first
+   fault. *)
+let run_table which s bench_json out =
+  Symalg.Prover.set_budget s.budget;
   Symalg.Prover.reset_stats ();
   let run b =
-    let o = b.table ~options ~reuse ~pack ~pool ?pool_cap ~fail_safe () in
+    let o = run_suite s b in
     print_string (Benchsuite.Table.to_string o.Benchsuite.Runner.table);
     let st = o.Benchsuite.Runner.compiled.Core.Pipeline.stats in
     let rst = o.Benchsuite.Runner.compiled.Core.Pipeline.reuse_stats in
     let pst = o.Benchsuite.Runner.compiled.Core.Pipeline.pack_stats in
-    if options.Core.Shortcircuit.verbose then begin
+    if s.options.Core.Shortcircuit.verbose then begin
       Fmt.pr "%a@.@." Core.Shortcircuit.pp_stats st;
       Fmt.pr "%a@.@." Core.Reuse.pp_stats rst;
       Fmt.pr "%a@.@." Core.Pack.pp_stats pst;
@@ -331,7 +279,7 @@ let run_table which options reuse pack pool pool_cap fail_safe budget
         pst.Core.Pack.offset_proofs
         o.Benchsuite.Runner.compiled.Core.Pipeline.pack_dead_allocs
     end;
-    pp_footprints ~verbose:options.Core.Shortcircuit.verbose o;
+    pp_footprints ~verbose:s.options.Core.Shortcircuit.verbose o;
     List.iter
       (fun (r : Core.Pipeline.recovery) ->
         Printf.printf "  RECOVERED fault in %s: %s -> fell back to %s\n"
@@ -357,17 +305,6 @@ let run_table which options reuse pack pool pool_cap fail_safe budget
     print_newline ();
     o
   in
-  let finish outcomes =
-    if bench_json then begin
-      let path = Option.value out ~default:(default_bench_json_name ()) in
-      let json = bench_json_of outcomes (Symalg.Prover.stats ()) in
-      let oc = open_out path in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-    end
-  in
   let degraded b (o : Benchsuite.Runner.outcome) =
     match o.Benchsuite.Runner.compiled.Core.Pipeline.recovery with
     | [] -> None
@@ -376,43 +313,37 @@ let run_table which options reuse pack pool pool_cap fail_safe budget
           (Printf.sprintf "%s degraded (%s)" b.name
              (Core.Fault.layer r.Core.Pipeline.r_fault))
   in
-  match which with
-  | "all" ->
-      (* Aggregate faults across the suite instead of dying on the
-         first one: every benchmark runs, every fault is named, and
-         any degradation or failure makes the exit nonzero. *)
-      let results =
-        List.map
-          (fun b ->
-            match run b with
-            | o -> (b, Ok o)
-            | exception e ->
-                Printf.printf "bench %-14s FAILED: %s\n\n" b.name
-                  (Printexc.to_string e);
-                (b, Error (Printexc.to_string e)))
-          benches
-      in
-      let outcomes =
-        List.filter_map
-          (function b, Ok o -> Some (b, o) | _, Error _ -> None)
-          results
-      in
-      finish outcomes;
-      let faulted =
-        List.filter_map
-          (fun (b, r) ->
-            match r with
-            | Error e -> Some (Printf.sprintf "%s failed (%s)" b.name e)
-            | Ok o -> degraded b o)
-          results
-      in
-      if faulted = [] then Ok ()
-      else Error ("degraded/failed benchmarks: " ^ String.concat "; " faulted)
-  | s ->
-      Result.bind (find_bench s) (fun b ->
-          let o = run b in
-          finish [ (b, o) ];
-          match degraded b o with None -> Ok () | Some msg -> Error msg)
+  let* bs = select which in
+  let results =
+    List.map
+      (fun b ->
+        match run b with
+        | o -> (b, Ok o)
+        | exception e ->
+            Printf.printf "bench %-14s FAILED: %s\n\n" b.name
+              (Printexc.to_string e);
+            (b, Error (Printexc.to_string e)))
+      bs
+  in
+  (if bench_json then
+     let path = Option.value out ~default:(default_bench_json_name ()) in
+     write_file path
+       (doc
+          (bench_record
+             (List.filter_map
+                (function b, Ok o -> Some (b, o) | _, Error _ -> None)
+                results)));
+     Printf.printf "wrote %s\n" path);
+  let faulted =
+    List.filter_map
+      (fun (b, r) ->
+        match r with
+        | Error e -> Some (Printf.sprintf "%s failed (%s)" b.name e)
+        | Ok o -> degraded b o)
+      results
+  in
+  if faulted = [] then Ok ()
+  else Error ("degraded/failed benchmarks: " ^ String.concat "; " faulted)
 
 (* ---- validate --------------------------------------------------- *)
 
@@ -430,13 +361,8 @@ let run_validate which =
       v.Benchsuite.Runner.elided v.Benchsuite.Runner.sc_succeeded;
     Benchsuite.Runner.all_ok v
   in
-  match which with
-  | "all" ->
-      let ok = List.for_all validate benches in
-      if ok then Ok () else Error "validation failed"
-  | s ->
-      Result.bind (find_bench s) (fun b ->
-          if validate b then Ok () else Error "validation failed")
+  let* bs = select which in
+  if List.for_all validate bs then Ok () else Error "validation failed"
 
 (* ---- lint -------------------------------------------------------- *)
 
@@ -464,13 +390,9 @@ let run_lint which options pack verbose_reports =
           Core.Memlint.pp_violation v;
         false
   in
-  match which with
-  | "all" ->
-      let ok = List.fold_left (fun ok b -> lint b && ok) true benches in
-      if ok then Ok () else Error "lint failed"
-  | s ->
-      Result.bind (find_bench s) (fun b ->
-          if lint b then Ok () else Error "lint failed")
+  let* bs = select which in
+  if List.fold_left (fun ok b -> lint b && ok) true bs then Ok ()
+  else Error "lint failed"
 
 (* ---- trace ------------------------------------------------------- *)
 
@@ -503,14 +425,20 @@ let traces_clean ts =
       Core.Memtrace.ok t.Benchsuite.Runner.check)
     ts
 
+(* One benchmark's trace document.  The trace schema separates its
+   top-level members with ", " and ": "; every value in it is printed
+   by Core.Json. *)
 let traces_json (ts : (string * Benchsuite.Runner.traced) list) =
-  Printf.sprintf "{\"clean\": %b, %s}" (traces_clean ts)
-    (String.concat ", "
-       (List.map
-          (fun (v, (t : Benchsuite.Runner.traced)) ->
-            Printf.sprintf "\"%s\": %s" v
-              (Core.Trace.to_json t.Benchsuite.Runner.trace))
-          ts))
+  let member (k, v) = Core.Json.(to_string (Str k) ^ ": " ^ to_string v) in
+  "{"
+  ^ String.concat ", "
+      (List.map member
+         (("clean", Core.Json.Bool (traces_clean ts))
+         :: List.map
+              (fun (v, (t : Benchsuite.Runner.traced)) ->
+                (v, Core.Trace.to_json t.Benchsuite.Runner.trace))
+              ts))
+  ^ "}"
 
 (* --diff: the optimizations may move and elide storage but must not
    change the logical event sequence.  Compare each variant's trace
@@ -551,12 +479,9 @@ let run_trace which json diff out =
         match out with
         | None -> print_endline s
         | Some dir ->
-            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+            ensure_dir dir;
             let path = Filename.concat dir (b.name ^ ".json") in
-            let oc = open_out path in
-            output_string oc s;
-            output_char oc '\n';
-            close_out oc;
+            write_file path (s ^ "\n");
             Printf.printf "%-14s wrote %s (%s)\n" b.name path
               (if clean then "clean" else "VIOLATIONS"))
       else begin
@@ -570,13 +495,9 @@ let run_trace which json diff out =
       clean
     end
   in
-  match which with
-  | "all" ->
-      let ok = List.fold_left (fun ok b -> trace b && ok) true benches in
-      if ok then Ok () else Error "memtrace cross-check failed"
-  | s ->
-      Result.bind (find_bench s) (fun b ->
-          if trace b then Ok () else Error "memtrace cross-check failed")
+  let* bs = select which in
+  if List.fold_left (fun ok b -> trace b && ok) true bs then Ok ()
+  else Error "memtrace cross-check failed"
 
 (* ---- dump -------------------------------------------------------- *)
 
@@ -598,20 +519,19 @@ let run_dump which variant =
    upload as an artifact.  Refresh the baseline with
    `repro bench -o bench/baseline.json`. *)
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Ok s
-  with Sys_error e -> Error e
+(* [--check], [--baseline], [--current] and [--report], shared by the
+   bench and certificate gates *)
+type gate_args = {
+  check : bool;
+  baseline : string;
+  current : string option;
+  report : string option;
+}
 
-let run_bench options reuse pack pool pool_cap fail_safe budget check
-    baseline tolerance out current report order_check =
-  Symalg.Prover.set_budget budget;
-  let obtain_current () =
-    match current with
+let run_bench s (g : gate_args) tolerance out order_check =
+  Symalg.Prover.set_budget s.budget;
+  let* cur_s =
+    match g.current with
     | Some path -> read_file path
     | None ->
         Symalg.Prover.reset_stats ();
@@ -619,108 +539,33 @@ let run_bench options reuse pack pool pool_cap fail_safe budget check
           List.map
             (fun b ->
               Printf.printf "bench %-14s running...\n%!" b.name;
-              (b, b.table ~options ~reuse ~pack ~pool ?pool_cap ~fail_safe ()))
+              (b, run_suite s b))
             benches
         in
-        let json = bench_json_of outcomes (Symalg.Prover.stats ()) in
-        (match out with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc json;
-            output_char oc '\n';
-            close_out oc;
-            Printf.printf "wrote %s\n" path
-        | None ->
-            if not check then begin
-              let path = default_bench_json_name () in
-              let oc = open_out path in
-              output_string oc json;
-              output_char oc '\n';
-              close_out oc;
-              Printf.printf "wrote %s\n" path
-            end);
+        let json = doc (bench_record outcomes) in
+        if out <> None || not g.check then begin
+          let path = Option.value out ~default:(default_bench_json_name ()) in
+          write_file path json;
+          Printf.printf "wrote %s\n" path
+        end;
         Ok json
   in
+  match order_check with
   (* the pack-order A/B: the record at hand is the colour run; the
      [--order-check] file is the first-fit run of the same tree *)
-  let order_gate cur_s =
-    match order_check with
-    | None -> Ok ()
-    | Some ff_path ->
-        Result.bind
-          (Result.map_error
-             (fun e -> Printf.sprintf "firstfit record %s: %s" ff_path e)
-             (read_file ff_path))
-          (fun ff_s ->
-            Result.bind
-              (Result.map_error
-                 (fun e -> "firstfit parse error: " ^ e)
-                 (Benchsuite.Benchjson.parse ff_s))
-              (fun ff ->
-                Result.bind
-                  (Result.map_error
-                     (fun e -> "current parse error: " ^ e)
-                     (Benchsuite.Benchjson.parse cur_s))
-                  (fun cur ->
-                    let g =
-                      Benchsuite.Benchjson.pack_order_gate ~firstfit:ff
-                        ~colour:cur ()
-                    in
-                    let rep =
-                      Benchsuite.Benchjson.report ~label:"pack-order gate" g
-                    in
-                    print_string rep;
-                    (match report with
-                    | Some path ->
-                        let oc = open_out path in
-                        output_string oc rep;
-                        close_out oc;
-                        Printf.printf "wrote %s\n" path
-                    | None -> ());
-                    if Benchsuite.Benchjson.ok g then Ok ()
-                    else
-                      Error
-                        (Printf.sprintf
-                           "pack-order gate failed: %d regression(s)"
-                           (List.length g.Benchsuite.Benchjson.regressions)))))
-  in
-  Result.bind (obtain_current ()) (fun cur_s ->
-      if order_check <> None then order_gate cur_s
-      else if not check then Ok ()
-      else
-        Result.bind
-          (Result.map_error
-             (fun e -> Printf.sprintf "baseline %s: %s" baseline e)
-             (read_file baseline))
-          (fun base_s ->
-            Result.bind
-              (Result.map_error
-                 (fun e -> "baseline parse error: " ^ e)
-                 (Benchsuite.Benchjson.parse base_s))
-              (fun base ->
-                Result.bind
-                  (Result.map_error
-                     (fun e -> "current parse error: " ^ e)
-                     (Benchsuite.Benchjson.parse cur_s))
-                  (fun cur ->
-                    let g =
-                      Benchsuite.Benchjson.gate ~tolerance ~baseline:base
-                        ~current:cur ()
-                    in
-                    let rep = Benchsuite.Benchjson.report g in
-                    print_string rep;
-                    (match report with
-                    | Some path ->
-                        let oc = open_out path in
-                        output_string oc rep;
-                        close_out oc;
-                        Printf.printf "wrote %s\n" path
-                    | None -> ());
-                    if Benchsuite.Benchjson.ok g then Ok ()
-                    else
-                      Error
-                        (Printf.sprintf "bench gate failed: %d regression(s)"
-                           (List.length g.Benchsuite.Benchjson.regressions))))))
+  | Some path ->
+      run_gate ~label:"pack-order gate" ~role:"firstfit record" ~path
+        ~report:g.report
+        (fun firstfit colour ->
+          Benchsuite.Benchjson.pack_order_gate ~firstfit ~colour ())
+        cur_s
+  | None when g.check ->
+      run_gate ~label:"bench gate" ~role:"baseline" ~path:g.baseline
+        ~report:g.report
+        (fun baseline current ->
+          Benchsuite.Benchjson.gate ~tolerance ~baseline ~current ())
+        cur_s
+  | None -> Ok ()
 
 (* ---- certify ----------------------------------------------------- *)
 
@@ -728,151 +573,93 @@ let run_bench options reuse pack pool pool_cap fail_safe budget check
    ~certify:true so both rewriting passes emit per-rewrite proof
    obligations, then report what the independent checker re-derived.
    Any refuted obligation exits nonzero, attributed to its pass and
-   rewrite like a lint error. *)
-
-let cert_json_of name (certs : (string * Core.Certify.report) list) =
-  Printf.sprintf "{\"name\":\"%s\",\"passes\":[%s]}" (json_escape name)
-    (String.concat ","
-       (List.map (fun (_, r) -> Core.Certify.json_of_report r) certs))
-
-(* The combined certificate document carries the prover's memo-cache
-   effectiveness over the whole certification run, mirroring the
+   rewrite like a lint error.  The combined document carries the
+   prover's memo-cache effectiveness over the whole run, mirroring the
    "prover" object of BENCH.json: the checker leans on the same
-   memoized satisfiability/nonnegativity queries, so a cache collapse
-   shows up here first. *)
-let cert_doc_of (docs : string list) =
-  Printf.sprintf "{\"benchmarks\":[%s],%s}" (String.concat "," docs)
-    (prover_json (Symalg.Prover.stats ()))
+   memoized queries, so a cache collapse shows up here first. *)
 
-let run_certify which options reuse pack verbose_reports json out check
-    baseline current report_path =
+let run_certify which options reuse pack verbose_reports json out
+    (g : gate_args) =
   Symalg.Prover.reset_stats ();
-  let selected =
-    match which with
-    | "all" -> Ok benches
-    | s -> Result.map (fun b -> [ b ]) (find_bench s)
+  let* bs = select which in
+  (* With --json to stdout, keep stdout pure JSON (pipeable into
+     bench/certs-baseline.json): every human-readable line - summaries,
+     -r reports, "wrote" confirmations - goes to stderr.  With --check,
+     stdout carries the gate report instead. *)
+  let stdout_is_json = json && out = None && not g.check in
+  let human : ('a, out_channel, unit) format -> 'a =
+    if stdout_is_json then Printf.eprintf else Printf.printf
   in
-  Result.bind selected (fun bs ->
-      (* With --json to stdout, keep stdout pure JSON (pipeable into
-         bench/certs-baseline.json): every human-readable line -
-         summaries, -r reports, "wrote" confirmations - goes to
-         stderr.  With --check, stdout carries the gate report
-         instead. *)
-      let stdout_is_json = json && out = None && not check in
-      let human : ('a, out_channel, unit) format -> 'a =
-        if stdout_is_json then Printf.eprintf else Printf.printf
-      in
-      (* Compile + check every selected benchmark, returning the
-         per-benchmark JSON documents.  With [strict], the first
-         refuted obligation is an error; under --check the gate
-         attributes failures instead, so generation never aborts. *)
-      let certify_docs ~strict () =
-        let all_ok = ref true in
-        let docs =
-          List.map
-            (fun b ->
-              let c =
-                Core.Pipeline.compile ~options ~reuse ~pack ~certify:true
-                  b.prog
-              in
-              let certs = c.Core.Pipeline.certs in
-              List.iter
-                (fun (_, r) ->
-                  if verbose_reports || not (Core.Certify.ok r) then
-                    if json || check then
-                      Fmt.epr "%a@.@." Core.Certify.pp_report r
-                    else Fmt.pr "%a@.@." Core.Certify.pp_report r)
-                certs;
-              (match Core.Pipeline.first_cert_failure certs with
-              | None ->
-                  let tally f =
-                    List.fold_left (fun n (_, r) -> n + f r) 0 certs
-                  in
-                  human
-                    "%-14s %d obligations: %d proved, %d concretized, 0 \
-                     failed\n"
-                    b.name
-                    (tally (fun (r : Core.Certify.report) ->
-                         r.Core.Certify.emitted))
-                    (tally (fun r -> r.Core.Certify.proved))
-                    (tally (fun r -> r.Core.Certify.concretized))
-              | Some (pass, ch) ->
-                  Fmt.epr "%-14s refuted obligation in %s: %a@." b.name pass
-                    Core.Certify.pp_checked ch;
-                  all_ok := false);
-              cert_json_of b.name certs)
-            bs
-        in
-        if !all_ok || not strict then Ok docs
-        else Error "certification failed"
-      in
-      if check then
-        let obtain_current () =
-          match current with
-          | Some path -> read_file path
-          | None -> Result.map cert_doc_of (certify_docs ~strict:false ())
-        in
-        Result.bind (obtain_current ()) (fun cur_s ->
-            Result.bind
-              (Result.map_error
-                 (fun e -> Printf.sprintf "baseline %s: %s" baseline e)
-                 (read_file baseline))
-              (fun base_s ->
-                Result.bind
-                  (Result.map_error
-                     (fun e -> "baseline parse error: " ^ e)
-                     (Benchsuite.Benchjson.parse base_s))
-                  (fun base ->
-                    Result.bind
-                      (Result.map_error
-                         (fun e -> "current parse error: " ^ e)
-                         (Benchsuite.Benchjson.parse cur_s))
-                      (fun cur ->
-                        let g =
-                          Benchsuite.Benchjson.cert_gate ~baseline:base
-                            ~current:cur ()
-                        in
-                        let rep =
-                          Benchsuite.Benchjson.report ~label:"cert gate" g
-                        in
-                        print_string rep;
-                        if g.Benchsuite.Benchjson.notes <> [] then
-                          print_string
-                            "refresh with: dune exec bin/repro.exe -- \
-                             certify all --json > bench/certs-baseline.json\n";
-                        (match report_path with
-                        | Some path ->
-                            let oc = open_out path in
-                            output_string oc rep;
-                            close_out oc;
-                            Printf.printf "wrote %s\n" path
-                        | None -> ());
-                        if Benchsuite.Benchjson.ok g then Ok ()
-                        else
-                          Error
-                            (Printf.sprintf
-                               "cert gate failed: %d regression(s)"
-                               (List.length
-                                  g.Benchsuite.Benchjson.regressions))))))
-      else
-        Result.bind (certify_docs ~strict:true ()) (fun docs ->
-            (if json then
-               match out with
-               | None -> print_endline (cert_doc_of docs)
-               | Some dir ->
-                   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-                   List.iter2
-                     (fun b doc ->
-                       let path =
-                         Filename.concat dir (b.name ^ ".cert.json")
-                       in
-                       let oc = open_out path in
-                       output_string oc doc;
-                       output_char oc '\n';
-                       close_out oc;
-                       Printf.eprintf "%-14s wrote %s\n" b.name path)
-                     bs docs);
-            Ok ()))
+  (* Compile + check every selected benchmark, returning the
+     per-benchmark JSON documents.  With [strict], the first refuted
+     obligation is an error; under --check the gate attributes failures
+     instead, so generation never aborts. *)
+  let certify_docs ~strict () =
+    let all_ok = ref true in
+    let docs =
+      List.map
+        (fun b ->
+          let c =
+            Core.Pipeline.compile ~options ~reuse ~pack ~certify:true b.prog
+          in
+          let certs = c.Core.Pipeline.certs in
+          List.iter
+            (fun (_, r) ->
+              if verbose_reports || not (Core.Certify.ok r) then
+                if json || g.check then
+                  Fmt.epr "%a@.@." Core.Certify.pp_report r
+                else Fmt.pr "%a@.@." Core.Certify.pp_report r)
+            certs;
+          (match Core.Pipeline.first_cert_failure certs with
+          | None ->
+              let tally f = List.fold_left (fun n (_, r) -> n + f r) 0 certs in
+              human
+                "%-14s %d obligations: %d proved, %d concretized, 0 failed\n"
+                b.name
+                (tally (fun (r : Core.Certify.report) ->
+                     r.Core.Certify.emitted))
+                (tally (fun r -> r.Core.Certify.proved))
+                (tally (fun r -> r.Core.Certify.concretized))
+          | Some (pass, ch) ->
+              Fmt.epr "%-14s refuted obligation in %s: %a@." b.name pass
+                Core.Certify.pp_checked ch;
+              all_ok := false);
+          Benchsuite.Benchjson.cert_bench b.name certs)
+        bs
+    in
+    if !all_ok || not strict then Ok docs else Error "certification failed"
+  in
+  let cert_doc docs =
+    doc (Benchsuite.Benchjson.cert_doc docs (Symalg.Prover.stats ()))
+  in
+  if g.check then
+    let* cur_s =
+      match g.current with
+      | Some path -> read_file path
+      | None -> Result.map cert_doc (certify_docs ~strict:false ())
+    in
+    run_gate ~label:"cert gate" ~role:"baseline" ~path:g.baseline
+      ~hint:
+        "refresh with: dune exec bin/repro.exe -- certify all --json > \
+         bench/certs-baseline.json\n"
+      ~report:g.report
+      (fun baseline current ->
+        Benchsuite.Benchjson.cert_gate ~baseline ~current ())
+      cur_s
+  else
+    let* docs = certify_docs ~strict:true () in
+    (if json then
+       match out with
+       | None -> print_string (cert_doc docs)
+       | Some dir ->
+           ensure_dir dir;
+           List.iter2
+             (fun b d ->
+               let path = Filename.concat dir (b.name ^ ".cert.json") in
+               write_file path (doc d);
+               Printf.eprintf "%-14s wrote %s\n" b.name path)
+             bs docs);
+    Ok ()
 
 (* ---- chaos ------------------------------------------------------- *)
 
@@ -884,34 +671,28 @@ let run_certify which options reuse pack verbose_reports json out check
    archives. *)
 
 let run_chaos which seed rounds json out =
-  let selected =
-    match which with
-    | "all" -> Ok benches
-    | s -> Result.map (fun b -> [ b ]) (find_bench s)
+  let* bs = select which in
+  let targets =
+    List.map (fun b -> (b.name, b.prog, Lazy.force b.small_args)) bs
   in
-  Result.bind selected (fun bs ->
-      let targets =
-        List.map (fun b -> (b.name, b.prog, Lazy.force b.small_args)) bs
-      in
-      let c = Benchsuite.Chaosdrive.run ~seed ~rounds targets in
-      (* keep stdout pure JSON when the record goes there *)
-      let human = if json && out = None then prerr_string else print_string in
-      human (Benchsuite.Chaosdrive.report c);
-      (if json then
-         match out with
-         | None -> print_string (Benchsuite.Chaosdrive.json c)
-         | Some dir ->
-             if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-             let path = Filename.concat dir "campaign.json" in
-             let oc = open_out path in
-             output_string oc (Benchsuite.Chaosdrive.json c);
-             close_out oc;
-             Printf.printf "wrote %s\n" path);
-      if Benchsuite.Chaosdrive.ok c then Ok ()
-      else
-        Error
-          (Printf.sprintf "chaos campaign: %d invariant violation(s)"
-             (List.length (Benchsuite.Chaosdrive.violations c))))
+  let c = Benchsuite.Chaosdrive.run ~seed ~rounds targets in
+  (* keep stdout pure JSON when the record goes there *)
+  let human = if json && out = None then prerr_string else print_string in
+  human (Benchsuite.Chaosdrive.report c);
+  (if json then
+     let record = doc (Benchsuite.Chaosdrive.json c) in
+     match out with
+     | None -> print_string record
+     | Some dir ->
+         ensure_dir dir;
+         let path = Filename.concat dir "campaign.json" in
+         write_file path record;
+         Printf.printf "wrote %s\n" path);
+  if Benchsuite.Chaosdrive.ok c then Ok ()
+  else
+    Error
+      (Printf.sprintf "chaos campaign: %d invariant violation(s)"
+         (List.length (Benchsuite.Chaosdrive.violations c)))
 
 (* ---- prove-nw ---------------------------------------------------- *)
 
@@ -960,22 +741,26 @@ let to_exit = function
 let bench_arg =
   Arg.(value & pos 0 string "all" & info [] ~docv:"BENCH")
 
+(* ---- shared flags ---- *)
+
+let flag names doc = Arg.(value & flag & info names ~doc)
+let json_flag doc = flag [ "json" ] doc
+let reports_flag doc = flag [ "r"; "reports" ] doc
+
+let out_opt ~docv doc =
+  Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv ~doc)
+
 (* Short-circuiting options as CLI flags, shared by the subcommands
    that run the pipeline. *)
 let options_term =
   let verbose =
-    Arg.(
-      value & flag
-      & info [ "v"; "verbose" ]
-          ~doc:"Trace circuit attempts and print full pass statistics.")
+    flag [ "v"; "verbose" ]
+      "Trace circuit attempts and print full pass statistics."
   in
   let no_refinement =
-    Arg.(
-      value & flag
-      & info [ "no-refinement" ]
-          ~doc:
-            "Disable the per-iteration / per-thread refinements of \
-             section V-B (ablation).")
+    flag [ "no-refinement" ]
+      "Disable the per-iteration / per-thread refinements of section V-B \
+       (ablation)."
   in
   let split_depth =
     Arg.(
@@ -1000,12 +785,9 @@ let options_term =
    the pass's trace output follows the global verbosity. *)
 let reuse_term =
   let no_reuse =
-    Arg.(
-      value & flag
-      & info [ "no-reuse" ]
-          ~doc:
-            "Disable the memory-block reuse pass (the third pipeline \
-             variant becomes a copy of the short-circuited one).")
+    flag [ "no-reuse" ]
+      "Disable the memory-block reuse pass (the third pipeline variant \
+       becomes a copy of the short-circuited one)."
   in
   Term.(
     const (fun no_reuse (options : Core.Shortcircuit.options) ->
@@ -1022,12 +804,9 @@ let reuse_term =
    one) - the A/B baseline for the packing effect. *)
 let pack_term =
   let no_pack =
-    Arg.(
-      value & flag
-      & info [ "no-pack" ]
-          ~doc:
-            "Disable the offset-based arena packing pass (the fourth \
-             pipeline variant becomes a copy of the memory-reused one).")
+    flag [ "no-pack" ]
+      "Disable the offset-based arena packing pass (the fourth pipeline \
+       variant becomes a copy of the memory-reused one)."
   in
   let pack_order =
     let order =
@@ -1059,13 +838,9 @@ let pack_term =
    (the A/B baseline for the pool's latency effect). *)
 let pool_term =
   let no_pool =
-    Arg.(
-      value & flag
-      & info [ "no-pool" ]
-          ~doc:
-            "Disable the size-class allocation pool: every top-level \
-             allocation is charged the full device-allocation cost \
-             (A/B baseline).")
+    flag [ "no-pool" ]
+      "Disable the size-class allocation pool: every top-level allocation \
+       is charged the full device-allocation cost (A/B baseline)."
   in
   Term.(const (fun no_pool -> not no_pool) $ no_pool)
 
@@ -1128,32 +903,43 @@ let prover_budget_term =
     const (fun s -> { Symalg.Prover.unlimited with Symalg.Prover.b_steps = s })
     $ steps)
 
+(* Everything a table or bench run compiles and prices with. *)
+let suite_term =
+  Term.(
+    const (fun options reuse pack pool pool_cap fail_safe budget ->
+        { options; reuse; pack; pool; pool_cap; fail_safe; budget })
+    $ options_term $ reuse_term $ pack_term $ pool_term $ pool_cap_term
+    $ fail_safe_term $ prover_budget_term)
+
+let gate_term ~check_doc ~baseline ~baseline_doc ~current_doc =
+  let file name doc =
+    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+  in
+  Term.(
+    const (fun check baseline current report ->
+        { check; baseline; current; report })
+    $ flag [ "check" ] check_doc
+    $ Arg.(
+        value & opt string baseline
+        & info [ "baseline" ] ~docv:"FILE" ~doc:baseline_doc)
+    $ file "current" current_doc
+    $ file "report" "Also write the gate's diff report to $(docv).")
+
 let table_cmd =
   let bench_json =
-    Arg.(
-      value & flag
-      & info [ "bench-json" ]
-          ~doc:
-            "Write a machine-readable performance record (modeled times, \
-             impacts, footprints, pool behaviour, compile times, reuse \
-             statistics, prover cache rates) after the tables.")
+    flag [ "bench-json" ]
+      "Write a machine-readable performance record (modeled times, \
+       impacts, footprints, pool behaviour, compile times, reuse \
+       statistics, prover cache rates) after the tables."
   in
   let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:
-            "With $(b,--bench-json): target file (default \
-             BENCH_<date>.json).")
+    out_opt ~docv:"FILE"
+      "With $(b,--bench-json): target file (default BENCH_<date>.json)."
   in
   Cmd.v (Cmd.info "table" ~doc:"Regenerate a paper table (1-7 or name or all)")
     Term.(
-      const (fun w o r pk p pc fs pb bj out ->
-          to_exit (run_table w o r pk p pc fs pb bj out))
-      $ bench_arg $ options_term $ reuse_term $ pack_term $ pool_term
-      $ pool_cap_term $ fail_safe_term $ prover_budget_term $ bench_json
-      $ out)
+      const (fun w s bj out -> to_exit (run_table w s bj out))
+      $ bench_arg $ suite_term $ bench_json $ out)
 
 let validate_cmd =
   Cmd.v
@@ -1176,12 +962,6 @@ let dump_cmd =
     Term.(const (fun w v -> to_exit (run_dump w v)) $ bench_arg $ variant)
 
 let lint_cmd =
-  let reports =
-    Arg.(
-      value & flag
-      & info [ "r"; "reports" ]
-          ~doc:"Print the full per-stage report even when clean.")
-  in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
@@ -1189,32 +969,15 @@ let lint_cmd =
           pipeline pass")
     Term.(
       const (fun w o p r -> to_exit (run_lint w o p r))
-      $ bench_arg $ options_term $ pack_term $ reports)
+      $ bench_arg $ options_term $ pack_term
+      $ reports_flag "Print the full per-stage report even when clean.")
 
 let trace_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the raw event logs as JSON instead of the summary.")
-  in
   let diff =
-    Arg.(
-      value & flag
-      & info [ "diff" ]
-          ~doc:
-            "Compare the unopt/opt/reuse/pack traces' logical event \
-             skeletons; the optimizations may move or elide storage but \
-             must not change the event sequence.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"DIR"
-          ~doc:
-            "With $(b,--json): write one $(i,BENCH).json per benchmark into \
-             $(docv) instead of stdout.")
+    flag [ "diff" ]
+      "Compare the unopt/opt/reuse/pack traces' logical event skeletons; \
+       the optimizations may move or elide storage but must not change \
+       the event sequence."
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1224,24 +987,25 @@ let trace_cmd =
           annotations")
     Term.(
       const (fun w j d o -> to_exit (run_trace w j d o))
-      $ bench_arg $ json $ diff $ out)
+      $ bench_arg
+      $ json_flag "Emit the raw event logs as JSON instead of the summary."
+      $ diff
+      $ out_opt ~docv:"DIR"
+          "With $(b,--json): write one $(i,BENCH).json per benchmark into \
+           $(docv) instead of stdout.")
 
 let bench_cmd =
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Compare the performance record against $(b,--baseline) and \
-             exit nonzero on any regression (time above tolerance, \
-             growing allocation count or peak footprint).")
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt string "bench/baseline.json"
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Committed baseline record to gate against.")
+  let gate =
+    gate_term
+      ~check_doc:
+        "Compare the performance record against $(b,--baseline) and exit \
+         nonzero on any regression (time above tolerance, growing \
+         allocation count or peak footprint)."
+      ~baseline:"bench/baseline.json"
+      ~baseline_doc:"Committed baseline record to gate against."
+      ~current_doc:
+        "Gate an existing record instead of re-running the suite (e.g. the \
+         BENCH.json a previous CI step emitted)."
   in
   let tolerance =
     Arg.(
@@ -1253,30 +1017,10 @@ let bench_cmd =
              Footprint counters are exact and get no tolerance.")
   in
   let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:
-            "Write the fresh record to $(docv) (default BENCH_<date>.json \
-             when run without $(b,--check); refresh the baseline with \
-             -o bench/baseline.json).")
-  in
-  let current =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "current" ] ~docv:"FILE"
-          ~doc:
-            "Gate an existing record instead of re-running the suite \
-             (e.g. the BENCH.json a previous CI step emitted).")
-  in
-  let report =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE"
-          ~doc:"Also write the gate's diff report to $(docv).")
+    out_opt ~docv:"FILE"
+      "Write the fresh record to $(docv) (default BENCH_<date>.json when \
+       run without $(b,--check); refresh the baseline with -o \
+       bench/baseline.json)."
   in
   let order_check =
     Arg.(
@@ -1296,66 +1040,21 @@ let bench_cmd =
          "Emit the machine-readable performance record and optionally gate \
           it against a committed baseline")
     Term.(
-      const (fun o r pk p pc fs pb c b t out cur rep oc ->
-          to_exit (run_bench o r pk p pc fs pb c b t out cur rep oc))
-      $ options_term $ reuse_term $ pack_term $ pool_term $ pool_cap_term
-      $ fail_safe_term $ prover_budget_term $ check $ baseline $ tolerance
-      $ out $ current $ report $ order_check)
+      const (fun s g t out oc -> to_exit (run_bench s g t out oc))
+      $ suite_term $ gate $ tolerance $ out $ order_check)
 
 let certify_cmd =
-  let reports =
-    Arg.(
-      value & flag
-      & info [ "r"; "reports" ]
-          ~doc:"Print the full per-pass certificate even when clean.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the checked certificates as JSON instead of a summary.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"DIR"
-          ~doc:
-            "With $(b,--json): write one $(i,BENCH).cert.json per benchmark \
-             into $(docv) instead of stdout.")
-  in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Compare the certificates against $(b,--baseline) and exit \
-             nonzero on any regression (lost obligation, weakened verdict, \
-             dropped emitted/proved count, or any currently failed \
-             obligation).")
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt string "bench/certs-baseline.json"
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Committed certificate baseline to gate against.")
-  in
-  let current =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "current" ] ~docv:"FILE"
-          ~doc:
-            "Gate an existing combined certificate document instead of \
-             re-certifying (e.g. the output a previous CI step emitted).")
-  in
-  let report =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE"
-          ~doc:"Also write the gate's diff report to $(docv).")
+  let gate =
+    gate_term
+      ~check_doc:
+        "Compare the certificates against $(b,--baseline) and exit nonzero \
+         on any regression (lost obligation, weakened verdict, dropped \
+         emitted/proved count, or any currently failed obligation)."
+      ~baseline:"bench/certs-baseline.json"
+      ~baseline_doc:"Committed certificate baseline to gate against."
+      ~current_doc:
+        "Gate an existing combined certificate document instead of \
+         re-certifying (e.g. the output a previous CI step emitted)."
   in
   Cmd.v
     (Cmd.info "certify"
@@ -1364,10 +1063,15 @@ let certify_cmd =
           independent certificate checker (translation validation); exit \
           nonzero on any refuted obligation")
     Term.(
-      const (fun w o ru pk r j out c b cur rep ->
-          to_exit (run_certify w o ru pk r j out c b cur rep))
-      $ bench_arg $ options_term $ reuse_term $ pack_term $ reports $ json
-      $ out $ check $ baseline $ current $ report)
+      const (fun w o ru pk r j out g ->
+          to_exit (run_certify w o ru pk r j out g))
+      $ bench_arg $ options_term $ reuse_term $ pack_term
+      $ reports_flag "Print the full per-pass certificate even when clean."
+      $ json_flag "Emit the checked certificates as JSON instead of a summary."
+      $ out_opt ~docv:"DIR"
+          "With $(b,--json): write one $(i,BENCH).cert.json per benchmark \
+           into $(docv) instead of stdout."
+      $ gate)
 
 let chaos_cmd =
   let seed =
@@ -1386,21 +1090,6 @@ let chaos_cmd =
             "Repeat the per-benchmark injection draws $(docv) times for \
              wider site coverage.")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the campaign record as JSON (the CI artifact).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"DIR"
-          ~doc:
-            "With $(b,--json): write campaign.json into $(docv) instead \
-             of stdout.")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
@@ -1410,7 +1099,11 @@ let chaos_cmd =
           crash-free, bit-equal to the reference, and blames its fault")
     Term.(
       const (fun w s r j o -> to_exit (run_chaos w s r j o))
-      $ bench_arg $ seed $ rounds $ json $ out)
+      $ bench_arg $ seed $ rounds
+      $ json_flag "Emit the campaign record as JSON (the CI artifact)."
+      $ out_opt ~docv:"DIR"
+          "With $(b,--json): write campaign.json into $(docv) instead of \
+           stdout.")
 
 let prove_cmd =
   Cmd.v (Cmd.info "prove-nw" ~doc:"Discharge the Fig. 9 proof obligation")

@@ -1,13 +1,11 @@
-(* Minimal JSON parsing and the bench-trajectory gate.
+(* The documents the CI gates read, their writers, and the gates.
 
-   The repo deliberately carries no JSON dependency (the emitters in
-   bin/repro.ml and lib/core/trace.ml are hand-rolled prints), so the
-   gate's reader side is hand-rolled too: a small recursive-descent
-   parser covering exactly the JSON the suite emits - objects, arrays,
-   strings with backslash escapes, numbers, booleans, null.
+   BENCH.json (the bench record), the shared prover object and the
+   combined certificate document are built here as Core.Json values,
+   next to the gates that read them back.
 
-   The gate compares a freshly emitted BENCH.json against a committed
-   baseline (bench/baseline.json):
+   The bench-trajectory gate compares a freshly emitted BENCH.json
+   against a committed baseline (bench/baseline.json):
 
    - per (benchmark, device, dataset) row, each variant's modeled time
      may not exceed the baseline by more than the relative tolerance -
@@ -15,8 +13,8 @@
      the tolerance only absorbs intentional cost-model adjustments;
    - per (benchmark, dataset, variant) footprint, the allocation count,
      peak live bytes and modeled DRAM traffic must be monotone
-     non-increasing - these are exact counters, so any increase is a
-     regression by definition;
+     non-increasing - these are exact counters, printed exactly, so
+     any increase is a regression by definition;
    - a capped pool's high-water mark must not exceed its cap (checked
      on the current record alone - the cap is a costed constraint);
    - a benchmark present in the baseline must stay present.
@@ -24,178 +22,175 @@
    Improvements beyond tolerance and new benchmarks are reported as
    notes (a prompt to refresh the baseline), never as failures. *)
 
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of t list
-  | Obj of (string * t) list
+open Core.Json
 
 (* ---------------------------------------------------------------- *)
-(* Parser                                                            *)
+(* Writers                                                           *)
 (* ---------------------------------------------------------------- *)
 
-exception Bad of string
+(* The prover's memoization effectiveness and budget pressure, shared
+   by BENCH.json and the combined certificate document.  A nonzero
+   [budget_exhausted] means some nonnegativity queries were truncated
+   by the step/memo budget - sound (the affected rewrites were
+   skipped) but a signal the budget is too tight for the suite. *)
+let prover (p : Symalg.Prover.stats) =
+  let rate h m =
+    Num (if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m))
+  in
+  Obj
+    [
+      ("sat_hits", int p.sat_hits);
+      ("sat_misses", int p.sat_misses);
+      ("sat_resets", int p.sat_resets);
+      ("sat_hit_rate", rate p.sat_hits p.sat_misses);
+      ("nonneg_hits", int p.nonneg_hits);
+      ("nonneg_misses", int p.nonneg_misses);
+      ("nonneg_resets", int p.nonneg_resets);
+      ("nonneg_hit_rate", rate p.nonneg_hits p.nonneg_misses);
+      ("budget_exhausted", int p.budget_exhausted);
+    ]
 
-let parse (s : string) : (t, string) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail fmt =
-    Printf.ksprintf (fun m -> raise (Bad (Printf.sprintf "%s at offset %d" m !pos))) fmt
+let footprint (f : Runner.footprint) =
+  let pool =
+    match f.f_pool with
+    | None -> []
+    | Some ps ->
+        let cap =
+          match ps.p_cap with
+          | Some c -> [ ("cap", Num c); ("evictions", int ps.p_evictions) ]
+          | None -> []
+        in
+        [
+          ( "pool",
+            Obj
+              ([
+                 ("hits", int f.f_pool_hits);
+                 ("misses", int f.f_pool_misses);
+                 ("device_bytes", Num ps.p_device_bytes);
+                 ("high_water_bytes", Num ps.p_high_water);
+                 ("fragmentation", Num ps.p_fragmentation);
+               ]
+              @ cap) );
+        ]
   in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail "expected %c" c
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail "bad literal"
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-          | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-          | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-          | Some 'u' ->
-              (* the suite never emits \u escapes; accept and drop *)
-              advance ();
-              for _ = 1 to 4 do
-                if !pos < n then advance ()
-              done;
-              Buffer.add_char buf '?';
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected number"
-    else
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          elems []
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  try
-    let v = parse_value () in
-    skip_ws ();
-    if !pos < n then Error (Printf.sprintf "trailing input at offset %d" !pos)
-    else Ok v
-  with Bad m -> Error m
+  Obj
+    ([
+       ("allocs", int f.f_allocs);
+       ("arena_allocs", int f.f_arena_allocs);
+       ("arena_bytes", Num f.f_arena_bytes);
+       ("scratch", int f.f_scratch);
+       ("alloc_bytes", Num f.f_alloc_bytes);
+       ("peak_bytes", Num f.f_peak_bytes);
+       ("traffic_bytes", Num f.f_traffic_bytes);
+     ]
+    @ pool)
 
-(* ---------------------------------------------------------------- *)
-(* Accessors                                                         *)
-(* ---------------------------------------------------------------- *)
-
-let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-let arr = function Arr l -> Some l | _ -> None
-let num = function Num f -> Some f | _ -> None
-let str = function Str s -> Some s | _ -> None
-
-let num_at path v =
-  let rec go v = function
-    | [] -> num v
-    | k :: rest -> Option.bind (member k v) (fun v -> go v rest)
+let bench_obj (name, table_no, (o : Runner.outcome)) =
+  let c = o.compiled in
+  let row (r : Table.row) =
+    (* the opt variant's impact is the paper's own column *)
+    Obj
+      ([
+         ("device", Str r.device);
+         ("dataset", Str r.dataset);
+         ("ref_ms", Num (r.ref_s *. 1e3));
+       ]
+      @ List.map (fun (v, ms) -> (v ^ "_ms", Num ms)) (Table.ms r)
+      @ List.map
+          (fun (v, x) ->
+            ((if v = "opt" then "impact" else v ^ "_impact"), Num x))
+          (Table.impacts_of r))
   in
-  go v path
+  let rst = c.reuse_stats and pst = c.pack_stats in
+  Obj
+    [
+      ("name", Str name);
+      ("table", int table_no);
+      ("rows", Arr (List.map row o.table.rows));
+      ( "footprints",
+        Arr
+          (List.map
+             (fun (label, fs) ->
+               Obj
+                 (("dataset", Str label)
+                 :: List.map (fun (v, f) -> (v, footprint f)) fs))
+             o.footprints) );
+      ( "compile_s",
+        Obj
+          [
+            ("base", Num c.time_base);
+            ("shortcircuit", Num c.time_sc);
+            ("reuse", Num c.time_reuse);
+            ("pack", Num c.time_pack);
+          ] );
+      ("dead_allocs", int c.dead_allocs);
+      ("reuse_dead_allocs", int c.reuse_dead_allocs);
+      ("pack_dead_allocs", int c.pack_dead_allocs);
+      ( "reuse_stats",
+        Obj
+          [
+            ("candidates", int rst.candidates);
+            ("coalesced", int rst.coalesced);
+            ("size_proofs", int rst.size_proofs);
+            ("chain_links", int rst.chain_links);
+            ("rotated", int rst.rotated);
+            ("hoisted", int rst.hoisted);
+          ] );
+      ( "pack_stats",
+        Obj
+          [
+            ("arenas", int pst.arenas);
+            ("packed", int pst.packed);
+            ("unpacked", int pst.unpacked);
+            ("offset_proofs", int pst.offset_proofs);
+            ("holes", int pst.holes);
+            ("promoted", int pst.promoted);
+          ] );
+      (* per-pass obligation counts of the translation-validation run
+         that rides along with every table compile *)
+      ( "certify",
+        Obj
+          (List.map
+             (fun (pass, (r : Core.Certify.report)) ->
+               ( pass,
+                 Obj
+                   [
+                     ("emitted", int r.emitted);
+                     ("proved", int r.proved);
+                     ("concretized", int r.concretized);
+                     ("failed", int r.failed);
+                   ] ))
+             c.certs) );
+    ]
+
+let bench_record ~date outcomes pstats =
+  Obj
+    [
+      ("date", Str date);
+      ("benchmarks", Arr (List.map bench_obj outcomes));
+      ("prover", prover pstats);
+    ]
+
+let cert_bench name (certs : (string * Core.Certify.report) list) =
+  Obj
+    [
+      ("name", Str name);
+      ( "passes",
+        Arr (List.map (fun (_, r) -> Core.Certify.json_of_report r) certs) );
+    ]
+
+let cert_doc docs pstats =
+  Obj [ ("benchmarks", Arr docs); ("prover", prover pstats) ]
 
 (* ---------------------------------------------------------------- *)
-(* The gate                                                          *)
+(* Reading back                                                      *)
+(* ---------------------------------------------------------------- *)
+
+let list_at k v = Option.value ~default:[] (Option.bind (member k v) arr)
+let str_at k v = Option.value ~default:"?" (Option.bind (member k v) str)
+
+(* ---------------------------------------------------------------- *)
+(* Gate results                                                      *)
 (* ---------------------------------------------------------------- *)
 
 type gate = {
@@ -204,14 +199,49 @@ type gate = {
   checked : int; (* individual comparisons performed *)
 }
 
+(* what a gate run collects, newest first *)
+type acc = {
+  mutable regs : string list;
+  mutable nts : string list;
+  mutable n : int;
+}
+
+let reg a fmt = Printf.ksprintf (fun m -> a.regs <- m :: a.regs) fmt
+let note a fmt = Printf.ksprintf (fun m -> a.nts <- m :: a.nts) fmt
+
+let collect f =
+  let a = { regs = []; nts = []; n = 0 } in
+  f a;
+  { regressions = List.rev a.regs; notes = List.rev a.nts; checked = a.n }
+
+(* One comparison of the number at [path] in a baseline-side and a
+   current-side value: [k b c] runs, and counts, when both have it. *)
+let compare_at a path bv cv k =
+  match (num_at path bv, num_at path cv) with
+  | Some b, Some c ->
+      a.n <- a.n + 1;
+      k b c
+  | _ -> ()
+
+let benchmarks_of = list_at "benchmarks"
+let name_of = str_at "name"
+let find_by key k l = List.find_opt (fun x -> key x = k) l
+let find = find_by name_of
+
+(* Every current benchmark missing from the baseline is a note. *)
+let note_new a ~baseline cur_b =
+  List.iter
+    (fun cb ->
+      if find (name_of cb) baseline = None then
+        note a "%s: new benchmark not in baseline - refresh to start gating it"
+          (name_of cb))
+    cur_b
+
+(* ---------------------------------------------------------------- *)
+(* The bench-trajectory gate                                          *)
+(* ---------------------------------------------------------------- *)
+
 let default_tolerance = 0.05
-
-let benchmarks_of v =
-  match Option.bind (member "benchmarks" v) arr with
-  | Some l -> l
-  | None -> []
-
-let name_of b = Option.value ~default:"?" (Option.bind (member "name" b) str)
 
 (* time fields per row, footprint fields per variant *)
 let fp_variants = Core.Pipeline.variant_names
@@ -227,173 +257,116 @@ let prover_work = [ "sat_misses"; "nonneg_misses"; "budget_exhausted" ]
 
 let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
     gate =
-  let regressions = ref [] in
-  let notes = ref [] in
-  let checked = ref 0 in
-  let reg fmt = Printf.ksprintf (fun m -> regressions := m :: !regressions) fmt in
-  let note fmt = Printf.ksprintf (fun m -> notes := m :: !notes) fmt in
-  let base_b = benchmarks_of baseline and cur_b = benchmarks_of current in
-  let find name l = List.find_opt (fun b -> name_of b = name) l in
+  collect @@ fun a ->
+  let cur_b = benchmarks_of current in
   List.iter
     (fun bb ->
       let bname = name_of bb in
       match find bname cur_b with
-      | None -> reg "%s: benchmark present in baseline but missing from current run" bname
+      | None ->
+          reg a "%s: benchmark present in baseline but missing from current run"
+            bname
       | Some cb ->
           (* rows: modeled times within tolerance *)
-          let rows v =
-            Option.value ~default:[] (Option.bind (member "rows" v) arr)
-          in
-          let row_key r =
-            ( Option.value ~default:"?" (Option.bind (member "device" r) str),
-              Option.value ~default:"?" (Option.bind (member "dataset" r) str) )
-          in
+          let row_key r = (str_at "device" r, str_at "dataset" r) in
           List.iter
             (fun br ->
               let dev, ds = row_key br in
-              match
-                List.find_opt (fun cr -> row_key cr = (dev, ds)) (rows cb)
-              with
+              match find_by row_key (dev, ds) (list_at "rows" cb) with
               | None ->
-                  reg "%s [%s/%s]: row missing from current run" bname dev ds
+                  reg a "%s [%s/%s]: row missing from current run" bname dev ds
               | Some cr ->
                   List.iter
                     (fun field ->
                       match (num_at [ field ] br, num_at [ field ] cr) with
                       | Some b, Some c when b > 0. ->
-                          incr checked;
+                          a.n <- a.n + 1;
                           let rel = (c -. b) /. b in
                           if rel > tolerance then
-                            reg
+                            reg a
                               "%s [%s/%s]: %s %.4g -> %.4g ms (%+.1f%%, \
                                tolerance %.1f%%)"
                               bname dev ds field b c (100. *. rel)
                               (100. *. tolerance)
                           else if rel < -.tolerance then
-                            note
+                            note a
                               "%s [%s/%s]: %s improved %.4g -> %.4g ms \
                                (%+.1f%%) - consider refreshing the baseline"
                               bname dev ds field b c (100. *. rel)
                       | _ -> ())
                     row_times)
-            (rows bb);
-          (* footprints: allocs and peak monotone non-increasing *)
-          let fps v =
-            Option.value ~default:[] (Option.bind (member "footprints" v) arr)
-          in
-          let ds_of f =
-            Option.value ~default:"?" (Option.bind (member "dataset" f) str)
-          in
+            (list_at "rows" bb);
+          (* footprints: exact counters, monotone non-increasing *)
+          let ds_of = str_at "dataset" in
           List.iter
             (fun bf ->
               let ds = ds_of bf in
-              match List.find_opt (fun cf -> ds_of cf = ds) (fps cb) with
+              match find_by ds_of ds (list_at "footprints" cb) with
               | None ->
-                  reg "%s [%s]: footprint missing from current run" bname ds
+                  reg a "%s [%s]: footprint missing from current run" bname ds
               | Some cf ->
                   List.iter
                     (fun variant ->
                       List.iter
                         (fun field ->
-                          match
-                            ( num_at [ variant; field ] bf,
-                              num_at [ variant; field ] cf )
-                          with
-                          | Some b, Some c ->
-                              incr checked;
+                          compare_at a [ variant; field ] bf cf (fun b c ->
                               if c > b then
-                                reg "%s [%s] %s: %s grew %g -> %g" bname ds
-                                  variant field b c
+                                reg a "%s [%s] %s: %s grew %s -> %s" bname ds
+                                  variant field (number b) (number c)
                               else if c < b then
-                                note
-                                  "%s [%s] %s: %s shrank %g -> %g - consider \
+                                note a
+                                  "%s [%s] %s: %s shrank %s -> %s - consider \
                                    refreshing the baseline"
-                                  bname ds variant field b c
-                          | _ -> ())
+                                  bname ds variant field (number b) (number c)))
                         fp_monotone;
                       (* a capped pool's high-water mark must respect
                          the cap: the cap is a costed constraint, not a
                          hint, so any breach is a hard failure of the
                          current record regardless of the baseline *)
-                      match
-                        ( num_at [ variant; "pool"; "high_water_bytes" ] cf,
-                          num_at [ variant; "pool"; "cap" ] cf )
-                      with
+                      let pool k = num_at [ variant; "pool"; k ] cf in
+                      match (pool "high_water_bytes", pool "cap") with
                       | Some hw, Some cap ->
-                          incr checked;
+                          a.n <- a.n + 1;
                           if hw > cap then
-                            reg
-                              "%s [%s] %s: pool high-water %g exceeds cap %g"
-                              bname ds variant hw cap
+                            reg a
+                              "%s [%s] %s: pool high-water %s exceeds cap %s"
+                              bname ds variant (number hw) (number cap)
                       | _ -> ())
                     fp_variants)
-            (fps bb);
+            (list_at "footprints" bb);
           (* packing coverage: the planner may not lose ground - fewer
              arenas or packed placements, or more undecidable ones,
              means previously provable offsets stopped proving *)
-          List.iter
-            (fun field ->
-              match
-                ( num_at [ "pack_stats"; field ] bb,
-                  num_at [ "pack_stats"; field ] cb )
-              with
-              | Some b, Some c ->
-                  incr checked;
-                  if c < b then
-                    reg "%s: pack_stats.%s dropped %g -> %g" bname field b c
-                  else if c > b then
-                    note
-                      "%s: pack_stats.%s grew %g -> %g - consider refreshing \
-                       the baseline"
-                      bname field b c
-              | _ -> ())
-            pack_grow;
-          List.iter
-            (fun field ->
-              match
-                ( num_at [ "pack_stats"; field ] bb,
-                  num_at [ "pack_stats"; field ] cb )
-              with
-              | Some b, Some c ->
-                  incr checked;
-                  if c > b then
-                    reg "%s: pack_stats.%s grew %g -> %g" bname field b c
-                  else if c < b then
-                    note
-                      "%s: pack_stats.%s shrank %g -> %g - consider \
-                       refreshing the baseline"
-                      bname field b c
-              | _ -> ())
-            pack_shrink)
-    base_b;
+          let pack_counter ~grow field =
+            compare_at a [ "pack_stats"; field ] bb cb (fun b c ->
+                let lost = if grow then c < b else c > b in
+                if lost then
+                  reg a "%s: pack_stats.%s %s %s -> %s" bname field
+                    (if grow then "dropped" else "grew")
+                    (number b) (number c)
+                else if c <> b then
+                  note a
+                    "%s: pack_stats.%s %s %s -> %s - consider refreshing the \
+                     baseline"
+                    bname field
+                    (if c > b then "grew" else "shrank")
+                    (number b) (number c))
+          in
+          List.iter (pack_counter ~grow:true) pack_grow;
+          List.iter (pack_counter ~grow:false) pack_shrink)
+    (benchmarks_of baseline);
   (* prover work: search counts, the gated proxy for the toolchain's
      own compile time - more searches means a slower compile *)
   List.iter
     (fun field ->
-      match
-        ( num_at [ "prover"; field ] baseline,
-          num_at [ "prover"; field ] current )
-      with
-      | Some b, Some c ->
-          incr checked;
-          if c > b then reg "prover.%s rose %g -> %g" field b c
+      compare_at a [ "prover"; field ] baseline current (fun b c ->
+          if c > b then
+            reg a "prover.%s rose %s -> %s" field (number b) (number c)
           else if c < b then
-            note "prover.%s fell %g -> %g - consider refreshing the baseline"
-              field b c
-      | _ -> ())
+            note a "prover.%s fell %s -> %s - consider refreshing the baseline"
+              field (number b) (number c)))
     prover_work;
-  List.iter
-    (fun cb ->
-      let cname = name_of cb in
-      if find cname base_b = None then
-        note "%s: new benchmark not in baseline - refresh to start gating it"
-          cname)
-    cur_b;
-  {
-    regressions = List.rev !regressions;
-    notes = List.rev !notes;
-    checked = !checked;
-  }
+  note_new a ~baseline:(benchmarks_of baseline) cur_b
 
 (* ---------------------------------------------------------------- *)
 (* The pack-order gate                                                *)
@@ -409,70 +382,45 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
    failure - there is no tolerance, both records come from the same
    commit. *)
 let pack_order_gate ~(firstfit : t) ~(colour : t) () : gate =
-  let regressions = ref [] in
-  let notes = ref [] in
-  let checked = ref 0 in
-  let reg fmt = Printf.ksprintf (fun m -> regressions := m :: !regressions) fmt in
-  let note fmt = Printf.ksprintf (fun m -> notes := m :: !notes) fmt in
-  let ff_b = benchmarks_of firstfit and c_b = benchmarks_of colour in
-  let find name l = List.find_opt (fun b -> name_of b = name) l in
+  collect @@ fun a ->
+  let c_b = benchmarks_of colour in
   List.iter
     (fun fb ->
       let bname = name_of fb in
       match find bname c_b with
-      | None -> reg "%s: benchmark missing from the colour run" bname
+      | None -> reg a "%s: benchmark missing from the colour run" bname
       | Some cb ->
-          let fps v =
-            Option.value ~default:[] (Option.bind (member "footprints" v) arr)
-          in
-          let ds_of f =
-            Option.value ~default:"?" (Option.bind (member "dataset" f) str)
-          in
+          let ds_of = str_at "dataset" in
           List.iter
             (fun ff ->
               let ds = ds_of ff in
-              match List.find_opt (fun cf -> ds_of cf = ds) (fps cb) with
+              match find_by ds_of ds (list_at "footprints" cb) with
               | None ->
-                  reg "%s [%s]: footprint missing from the colour run" bname ds
-              | Some cf -> (
-                  match
-                    ( num_at [ "pack"; "arena_bytes" ] ff,
-                      num_at [ "pack"; "arena_bytes" ] cf )
-                  with
-                  | Some f, Some c ->
-                      incr checked;
+                  reg a "%s [%s]: footprint missing from the colour run" bname
+                    ds
+              | Some cf ->
+                  compare_at a [ "pack"; "arena_bytes" ] ff cf (fun f c ->
                       if c > f then
-                        reg
-                          "%s [%s]: colour arena extent %g B exceeds \
-                           first-fit's %g B"
-                          bname ds c f
+                        reg a
+                          "%s [%s]: colour arena extent %s B exceeds \
+                           first-fit's %s B"
+                          bname ds (number c) (number f)
                       else if c < f then
-                        note "%s [%s]: colour arena extent %g B < first-fit \
-                              %g B" bname ds c f
-                  | _ -> ()))
-            (fps fb);
+                        note a
+                          "%s [%s]: colour arena extent %s B < first-fit %s B"
+                          bname ds (number c) (number f)))
+            (list_at "footprints" fb);
           List.iter
             (fun field ->
-              match
-                ( num_at [ "pack_stats"; field ] fb,
-                  num_at [ "pack_stats"; field ] cb )
-              with
-              | Some f, Some c ->
-                  incr checked;
+              compare_at a [ "pack_stats"; field ] fb cb (fun f c ->
                   if c < f then
-                    reg "%s: colour pack_stats.%s %g below first-fit's %g"
-                      bname field c f
+                    reg a "%s: colour pack_stats.%s %s below first-fit's %s"
+                      bname field (number c) (number f)
                   else if c > f then
-                    note "%s: colour pack_stats.%s %g above first-fit's %g"
-                      bname field c f
-              | _ -> ())
+                    note a "%s: colour pack_stats.%s %s above first-fit's %s"
+                      bname field (number c) (number f)))
             pack_grow)
-    ff_b;
-  {
-    regressions = List.rev !regressions;
-    notes = List.rev !notes;
-    checked = !checked;
-  }
+    (benchmarks_of firstfit)
 
 (* ---------------------------------------------------------------- *)
 (* The certificate gate                                               *)
@@ -504,27 +452,12 @@ let verdict_rank = function
   | _ -> 0 (* failed, or anything unrecognized *)
 
 let cert_gate ~(baseline : t) ~(current : t) () : gate =
-  let regressions = ref [] in
-  let notes = ref [] in
-  let checked = ref 0 in
-  let reg fmt = Printf.ksprintf (fun m -> regressions := m :: !regressions) fmt in
-  let note fmt = Printf.ksprintf (fun m -> notes := m :: !notes) fmt in
-  let passes v =
-    Option.value ~default:[] (Option.bind (member "passes" v) arr)
-  in
-  let pass_name p = Option.value ~default:"?" (Option.bind (member "pass" p) str) in
-  let obls p =
-    Option.value ~default:[] (Option.bind (member "obligations" p) arr)
-  in
+  collect @@ fun a ->
+  let passes = list_at "passes" and pass_name = str_at "pass" in
+  let obls = list_at "obligations" in
   let obl_id o = Option.bind (member "id" o) num in
-  let obl_verdict o =
-    Option.value ~default:"?" (Option.bind (member "verdict" o) str)
-  in
-  let obl_rewrite o =
-    Option.value ~default:"?" (Option.bind (member "rewrite" o) str)
-  in
+  let obl_verdict = str_at "verdict" and obl_rewrite = str_at "rewrite" in
   let base_b = benchmarks_of baseline and cur_b = benchmarks_of current in
-  let find name l = List.find_opt (fun b -> name_of b = name) l in
   (* any current failure is a hard failure, gated or not *)
   List.iter
     (fun cb ->
@@ -533,7 +466,7 @@ let cert_gate ~(baseline : t) ~(current : t) () : gate =
           List.iter
             (fun o ->
               if obl_verdict o = "failed" then
-                reg "%s/%s: obligation #%g (%s) FAILED in the current run"
+                reg a "%s/%s: obligation #%g (%s) FAILED in the current run"
                   (name_of cb) (pass_name cp)
                   (Option.value ~default:(-1.) (obl_id o))
                   (obl_rewrite o))
@@ -545,35 +478,30 @@ let cert_gate ~(baseline : t) ~(current : t) () : gate =
       let bname = name_of bb in
       match find bname cur_b with
       | None ->
-          reg "%s: benchmark present in baseline but missing from current run"
+          reg a "%s: benchmark present in baseline but missing from current run"
             bname
       | Some cb ->
           List.iter
             (fun bp ->
               let pname = pass_name bp in
-              match
-                List.find_opt (fun cp -> pass_name cp = pname) (passes cb)
-              with
+              match find_by pass_name pname (passes cb) with
               | None ->
-                  reg "%s: pass %s present in baseline but missing from \
-                       current run"
+                  reg a "%s: pass %s present in baseline but missing from \
+                         current run"
                     bname pname
               | Some cp ->
                   (* aggregate counts: emitted and proved must not drop *)
                   List.iter
                     (fun field ->
-                      match (num_at [ field ] bp, num_at [ field ] cp) with
-                      | Some b, Some c ->
-                          incr checked;
+                      compare_at a [ field ] bp cp (fun b c ->
                           if c < b then
-                            reg "%s/%s: %s count dropped %g -> %g" bname pname
+                            reg a "%s/%s: %s count dropped %g -> %g" bname pname
                               field b c
                           else if c > b then
-                            note
+                            note a
                               "%s/%s: %s count grew %g -> %g - consider \
                                refreshing the baseline"
-                              bname pname field b c
-                      | _ -> ())
+                              bname pname field b c))
                     [ "emitted"; "proved" ];
                   (* per-obligation verdicts, matched by id *)
                   let cur_obls = obls cp in
@@ -582,37 +510,32 @@ let cert_gate ~(baseline : t) ~(current : t) () : gate =
                       match obl_id bo with
                       | None -> ()
                       | Some id -> (
-                          match
-                            List.find_opt (fun co -> obl_id co = Some id)
-                              cur_obls
-                          with
+                          match find_by obl_id (Some id) cur_obls with
                           | None ->
-                              reg
+                              reg a
                                 "%s/%s: obligation #%g (%s) disappeared from \
                                  the current run"
                                 bname pname id (obl_rewrite bo)
                           | Some co ->
-                              incr checked;
+                              a.n <- a.n + 1;
                               let bv = obl_verdict bo and cv = obl_verdict co in
                               if verdict_rank cv < verdict_rank bv then
-                                reg
+                                reg a
                                   "%s/%s: obligation #%g (%s) weakened %s -> \
                                    %s"
                                   bname pname id (obl_rewrite bo) bv cv
                               else if verdict_rank cv > verdict_rank bv then
-                                note
+                                note a
                                   "%s/%s: obligation #%g strengthened %s -> \
                                    %s - consider refreshing the baseline"
                                   bname pname id bv cv))
                     (obls bp);
-                  let base_ids =
-                    List.filter_map obl_id (obls bp)
-                  in
+                  let base_ids = List.filter_map obl_id (obls bp) in
                   List.iter
                     (fun co ->
                       match obl_id co with
                       | Some id when not (List.mem id base_ids) ->
-                          note
+                          note a
                             "%s/%s: new obligation #%g (%s) not in baseline - \
                              refresh to start gating it"
                             bname pname id (obl_rewrite co)
@@ -622,39 +545,22 @@ let cert_gate ~(baseline : t) ~(current : t) () : gate =
           List.iter
             (fun cp ->
               let pname = pass_name cp in
-              if
-                List.find_opt (fun bp -> pass_name bp = pname) (passes bb)
-                = None
-              then
-                note "%s: new pass %s not in baseline - refresh to start \
-                      gating it"
+              if find_by pass_name pname (passes bb) = None then
+                note a "%s: new pass %s not in baseline - refresh to start \
+                        gating it"
                   bname pname)
             (passes cb))
     base_b;
-  List.iter
-    (fun cb ->
-      let cname = name_of cb in
-      if find cname base_b = None then
-        note "%s: new benchmark not in baseline - refresh to start gating it"
-          cname)
-    cur_b;
-  {
-    regressions = List.rev !regressions;
-    notes = List.rev !notes;
-    checked = !checked;
-  }
+  note_new a ~baseline:base_b cur_b
 
 let report ?(label = "bench gate") (g : gate) : string =
   let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s: %d comparisons, %d regression(s), %d note(s)\n" label
-       g.checked
-       (List.length g.regressions)
-       (List.length g.notes));
-  List.iter
-    (fun r -> Buffer.add_string buf (Printf.sprintf "REGRESSION %s\n" r))
-    g.regressions;
-  List.iter (fun m -> Buffer.add_string buf (Printf.sprintf "note %s\n" m)) g.notes;
+  Printf.bprintf buf "%s: %d comparisons, %d regression(s), %d note(s)\n" label
+    g.checked
+    (List.length g.regressions)
+    (List.length g.notes);
+  List.iter (Printf.bprintf buf "REGRESSION %s\n") g.regressions;
+  List.iter (Printf.bprintf buf "note %s\n") g.notes;
   Buffer.contents buf
 
 let ok (g : gate) = g.regressions = []

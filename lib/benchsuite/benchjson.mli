@@ -1,51 +1,41 @@
-(** Minimal JSON parsing plus the two CI gates: the bench-trajectory
-    gate over [BENCH.json] and the certificate gate over the combined
-    [repro certify all --json] document.
+(** The documents the CI gates read - the [BENCH.json] bench record
+    and the combined [repro certify all --json] certificate document -
+    their writers, and the three gates over them: the bench-trajectory
+    gate, the pack-order gate and the certificate gate.
 
-    The repo deliberately carries no JSON dependency - the emitters in
-    [bin/repro.ml] and {!Core.Trace} are hand-rolled prints - so the
-    reader side is hand-rolled too: a small recursive-descent parser
-    covering exactly the JSON the suite emits (objects, arrays,
-    strings with backslash escapes, numbers, booleans, null). *)
+    Documents are {!Core.Json} values; printing and parsing are
+    {!Core.Json.to_string} and {!Core.Json.parse}, so every number a
+    gate reads back is the exact number the writer was given. *)
 
-(** {1 JSON values} *)
+open Core
 
-(** A parsed JSON value.  Numbers are uniformly [float] - the suite's
-    integral counters are small enough to round-trip exactly. *)
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of t list
-  | Obj of (string * t) list  (** members in source order *)
+(** {1 Writers} *)
 
-val parse : string -> (t, string) result
-(** Parse one complete JSON document.  Trailing input (beyond
-    whitespace) is an error, as is any malformed construct; the error
-    string names the byte offset. *)
+val prover : Symalg.Prover.stats -> Json.t
+(** The prover's memoization hits, misses, resets and hit rates, and
+    its [budget_exhausted] count: the ["prover"] object of both
+    documents. *)
 
-(** {1 Accessors}
+val bench_record :
+  date:string ->
+  (string * int * Runner.outcome) list ->
+  Symalg.Prover.stats ->
+  Json.t
+(** [bench_record ~date benches stats] is the whole-suite bench record
+    ([BENCH.json]) over [(name, table number, outcome)] per benchmark:
+    modeled times and impacts per (device, dataset), memory footprints
+    and pool behaviour of every variant, compile times, dead-allocation
+    counts, reuse and packing statistics, per-pass certificate counts,
+    and the [prover] object. *)
 
-    All accessors are total: a shape mismatch yields [None], never an
-    exception, so gate code can probe optional fields freely. *)
+val cert_bench : string -> (string * Certify.report) list -> Json.t
+(** [cert_bench name certs]: one benchmark's checked certificates, one
+    {!Core.Certify.json_of_report} object per pass. *)
 
-val member : string -> t -> t option
-(** [member k v] is the value of key [k] when [v] is an object that
-    has it. *)
-
-val arr : t -> t list option
-(** The elements, when the value is an array. *)
-
-val num : t -> float option
-(** The number, when the value is one. *)
-
-val str : t -> string option
-(** The string, when the value is one. *)
-
-val num_at : string list -> t -> float option
-(** [num_at path v] descends through nested objects along [path] and
-    returns the number at the end, if every step exists. *)
+val cert_doc : Json.t list -> Symalg.Prover.stats -> Json.t
+(** The combined certificate document: the {!cert_bench} objects under
+    ["benchmarks"] and the [prover] object of the whole certification
+    run. *)
 
 (** {1 Gate results} *)
 
@@ -76,7 +66,8 @@ val default_tolerance : float
     so drift only comes from code changes, and the tolerance only
     absorbs intentional cost-model adjustments. *)
 
-val gate : ?tolerance:float -> baseline:t -> current:t -> unit -> gate
+val gate :
+  ?tolerance:float -> baseline:Json.t -> current:Json.t -> unit -> gate
 (** Compare a freshly emitted [BENCH.json] ([current]) against the
     committed [bench/baseline.json] ([baseline]):
 
@@ -102,7 +93,7 @@ val gate : ?tolerance:float -> baseline:t -> current:t -> unit -> gate
 
 (** {1 The pack-order gate} *)
 
-val pack_order_gate : firstfit:t -> colour:t -> unit -> gate
+val pack_order_gate : firstfit:Json.t -> colour:Json.t -> unit -> gate
 (** Compare the colour-placement bench record against a first-fit run
     of the same tree (the [--pack-order] A/B).  The planner commits a
     colour plan only when its extent is provably no larger than
@@ -118,7 +109,7 @@ val pack_order_gate : firstfit:t -> colour:t -> unit -> gate
 
 (** {1 The certificate gate} *)
 
-val cert_gate : baseline:t -> current:t -> unit -> gate
+val cert_gate : baseline:Json.t -> current:Json.t -> unit -> gate
 (** Compare a freshly emitted combined certificate document ([repro
     certify all --json], the output of {!val:Core.Certify.check}
     serialized per pass) against the committed

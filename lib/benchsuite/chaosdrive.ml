@@ -279,51 +279,44 @@ let violations c =
 
 let ok c = violations c = []
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let injection_json i =
-  Printf.sprintf
-    "{\"class\":\"%s\",\"pass\":\"%s\",\"site\":%d,\"fired\":%b,\
-     \"recovered\":%b,\"fallback\":\"%s\",\"bit_equal\":%b,\
-     \"crashed\":%b,\"ok\":%b,\"detail\":\"%s\"}"
-    (json_escape i.i_class) (json_escape i.i_pass) i.i_site i.i_fired
-    i.i_recovered
-    (json_escape i.i_fallback)
-    i.i_bit_equal i.i_crashed (inj_ok i) (json_escape i.i_detail)
-
 let json c =
-  let benches =
-    String.concat ","
-      (List.map
-         (fun b ->
-           Printf.sprintf "{\"name\":\"%s\",\"injections\":[%s]}"
-             (json_escape b.c_bench)
-             (String.concat "," (List.map injection_json b.c_injections)))
-         c.benches)
+  let open Core.Json in
+  let injection i =
+    Obj
+      [
+        ("class", Str i.i_class);
+        ("pass", Str i.i_pass);
+        ("site", int i.i_site);
+        ("fired", Bool i.i_fired);
+        ("recovered", Bool i.i_recovered);
+        ("fallback", Str i.i_fallback);
+        ("bit_equal", Bool i.i_bit_equal);
+        ("crashed", Bool i.i_crashed);
+        ("ok", Bool (inj_ok i));
+        ("detail", Str i.i_detail);
+      ]
   in
-  let total =
-    List.fold_left
-      (fun n b -> n + List.length b.c_injections)
-      0 c.benches
-  in
-  Printf.sprintf
-    "{\"seed\":%d,\"rounds\":%d,\"injections\":%d,\"violations\":%d,\
-     \"benches\":[%s]}\n"
-    c.seed c.rounds total
-    (List.length (violations c))
-    benches
+  Obj
+    [
+      ("seed", int c.seed);
+      ("rounds", int c.rounds);
+      ( "injections",
+        int
+          (List.fold_left
+             (fun n b -> n + List.length b.c_injections)
+             0 c.benches) );
+      ("violations", int (List.length (violations c)));
+      ( "benches",
+        Arr
+          (List.map
+             (fun b ->
+               Obj
+                 [
+                   ("name", Str b.c_bench);
+                   ("injections", Arr (List.map injection b.c_injections));
+                 ])
+             c.benches) );
+    ]
 
 let report c =
   let b = Buffer.create 512 in

@@ -1725,55 +1725,34 @@ let check ~pass ~pre ~post obls =
 (* JSON export                                                       *)
 (* ---------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_of_report r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"pass\":\"%s\",\"emitted\":%d,\"proved\":%d,\"concretized\":%d,\"failed\":%d,\"obligations\":["
-       (json_escape r.pass) r.emitted r.proved r.concretized r.failed);
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      let verdict, sizes, witness =
-        match c.verdict with
-        | Proved -> ("proved", [], None)
-        | Concretized sizes -> ("concretized", sizes, None)
-        | Failed w -> ("failed", [], Some w)
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"id\":%d,\"kind\":\"%s\",\"rewrite\":\"%s\",\"claim\":\"%s\",\"verdict\":\"%s\""
-           c.obl.o_id
-           (claim_kind c.obl.o_claim)
-           (json_escape (Fmt.str "%a" pp_rewrite c.obl.o_rewrite))
-           (json_escape (Fmt.str "%a" pp_claim c.obl.o_claim))
-           verdict);
-      if sizes <> [] then
-        Buffer.add_string b
-          (Printf.sprintf ",\"validated_at\":[%s]"
-             (String.concat "," (List.map string_of_int sizes)));
-      (match witness with
-      | Some w ->
-          Buffer.add_string b
-            (Printf.sprintf ",\"witness\":\"%s\"" (json_escape w))
-      | None -> ());
-      Buffer.add_string b
-        (Printf.sprintf ",\"detail\":\"%s\"}" (json_escape c.detail)))
-    r.checked;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Json in
+  let obligation c =
+    let verdict, evidence =
+      match c.verdict with
+      | Proved -> ("proved", [])
+      | Concretized [] -> ("concretized", [])
+      | Concretized sizes ->
+          ("concretized", [ ("validated_at", Arr (List.map int sizes)) ])
+      | Failed w -> ("failed", [ ("witness", Str w) ])
+    in
+    Obj
+      ([
+         ("id", int c.obl.o_id);
+         ("kind", Str (claim_kind c.obl.o_claim));
+         ("rewrite", Str (Fmt.str "%a" pp_rewrite c.obl.o_rewrite));
+         ("claim", Str (Fmt.str "%a" pp_claim c.obl.o_claim));
+         ("verdict", Str verdict);
+       ]
+      @ evidence
+      @ [ ("detail", Str c.detail) ])
+  in
+  Obj
+    [
+      ("pass", Str r.pass);
+      ("emitted", int r.emitted);
+      ("proved", int r.proved);
+      ("concretized", int r.concretized);
+      ("failed", int r.failed);
+      ("obligations", Arr (List.map obligation r.checked));
+    ]

@@ -49,19 +49,3 @@ let detail = function
 
 let pp ppf f = Fmt.pf ppf "%s fault in %s: %s" (layer f) (blame f) (detail f)
 let to_string f = Fmt.str "%a" pp f
-
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function
-         | '"' -> "\\\""
-         | '\\' -> "\\\\"
-         | '\n' -> "\\n"
-         | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
-let json f =
-  Printf.sprintf "{\"class\":\"%s\",\"blame\":\"%s\",\"detail\":\"%s\"}"
-    (layer f)
-    (json_escape (blame f))
-    (json_escape (detail f))

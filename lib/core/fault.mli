@@ -58,7 +58,3 @@ val layer : t -> string
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val json : t -> string
-(** A self-contained JSON object
-    [{"class":..., "blame":..., "detail":...}] for recovery reports
-    and the chaos campaign summary. *)

@@ -66,7 +66,7 @@ let to_memory_ir (p : prog) : prog =
 
 let compile ?(options = Shortcircuit.default_options)
     ?(reuse = Reuse.default_options) ?(pack = Pack.default_options)
-    ?(rounds = 2) ?(lint = false) ?(certify = false) ?(fail_safe = false)
+    ?(lint = false) ?(certify = false) ?(fail_safe = false)
     (p : prog) : compiled =
   let reports = ref [] and certs = ref [] and recov = ref [] in
   let prover0 = (Symalg.Prover.stats ()).budget_exhausted in
@@ -181,7 +181,7 @@ let compile ?(options = Shortcircuit.default_options)
       (fun q ->
         let q, st =
           step ~stage:"shortcircuit" ~clock:time_sc "shortcircuit"
-            (fun cert -> Shortcircuit.optimize ~options ~rounds ?cert)
+            (fun cert q -> Shortcircuit.optimize ~options ?cert q)
             q
         in
         let q, n = cleanup ~stage:"cleanup" "cleanup" q in

@@ -61,8 +61,9 @@ val optimize :
   Ir.Ast.prog ->
   Ir.Ast.prog * stats
 (** Run the pass over a memory-annotated program (in place: only [pmem]
-    annotations are mutated), for [rounds] fixpoint rounds (transitive
-    chaining).  Returns the same program and the pass statistics.
+    annotations are mutated), for [rounds] (default 2) fixpoint rounds
+    (transitive chaining).  Returns the same program and the pass
+    statistics.
 
     With [cert], every successful circuit emits its proof obligations -
     the last-use requirement, each incremental non-overlap check the

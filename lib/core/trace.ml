@@ -363,96 +363,104 @@ let pp ppf t =
 (* JSON                                                              *)
 (* ---------------------------------------------------------------- *)
 
-(* Hand-rolled: the schema is small and we avoid a json dependency. *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_clmad (c : clmad) =
-  Printf.sprintf "{\"off\":%d,\"dims\":[%s]}" c.Lmad.coff
-    (String.concat ","
-       (List.map
-          (fun (n, s) -> Printf.sprintf "[%d,%d]" n s)
-          c.Lmad.cdims))
-
-let json_region = function
-  | None -> "null"
-  | Some ls -> "[" ^ String.concat "," (List.map json_clmad ls) ^ "]"
-
-let json_footprint f =
-  Printf.sprintf "{\"var\":\"%s\",\"block\":%d,\"region\":%s}"
-    (json_escape f.fvar) f.fbid (json_region f.fregion)
-
-let json_offsets l =
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun (bid, offs) ->
-           Printf.sprintf "{\"block\":%d,\"offsets\":[%s]}" bid
-             (String.concat "," (List.map string_of_int offs)))
-         l)
-  ^ "]"
-
-let json_ints l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
-
-let json_event = function
-  | Alloc { bid; name; elems; in_kernel } ->
-      Printf.sprintf
-        "{\"event\":\"alloc\",\"block\":%d,\"name\":\"%s\",\"elems\":%d,\"in_kernel\":%b}"
-        bid (json_escape name) elems in_kernel
-  | Kernel k ->
-      Printf.sprintf
-        "{\"event\":\"kernel\",\"id\":%d,\"label\":\"%s\",\"threads\":%d,\"declared_writes\":[%s],\"declared_reads\":[%s],\"fresh\":%s,\"writes\":%s,\"reads\":%s,\"read_bytes\":%.0f,\"write_bytes\":%.0f}"
-        k.kid (json_escape k.klabel) k.kthreads
-        (String.concat "," (List.map json_footprint k.declared_writes))
-        (String.concat "," (List.map json_footprint k.declared_reads))
-        (json_ints k.fresh) (json_offsets k.writes) (json_offsets k.reads)
-        k.read_bytes k.write_bytes
-  | Copy c ->
-      Printf.sprintf
-        "{\"event\":\"copy\",\"src\":%d,\"dst\":%d,\"shape\":%s,\"src_ix\":%s,\"dst_ix\":%s,\"bytes\":%.0f,\"elided\":%b,\"in_kernel\":%b}"
-        c.csrc c.cdst (json_ints c.cshape)
-        (json_region (Some c.csix))
-        (json_region (Some c.cdix))
-        c.cbytes c.celided c.cin_kernel
-  | Last_use { var; bid } ->
-      Printf.sprintf "{\"event\":\"last_use\",\"var\":\"%s\",\"block\":%d}"
-        (json_escape var) bid
-
 let to_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"program\":\"%s\",\"variant\":\"%s\",\"exact\":%b,"
-       (json_escape t.program) (json_escape t.variant) t.exact);
+  let open Json in
+  let ints l = Arr (List.map int l) in
+  let region ls =
+    Arr
+      (List.map
+         (fun (c : clmad) ->
+           Obj
+             [
+               ("off", int c.Lmad.coff);
+               ( "dims",
+                 Arr (List.map (fun (n, s) -> ints [ n; s ]) c.Lmad.cdims) );
+             ])
+         ls)
+  in
+  let footprint f =
+    Obj
+      [
+        ("var", Str f.fvar);
+        ("block", int f.fbid);
+        ("region", Option.fold ~none:Null ~some:region f.fregion);
+      ]
+  in
+  let offsets l =
+    Arr
+      (List.map
+         (fun (bid, offs) -> Obj [ ("block", int bid); ("offsets", ints offs) ])
+         l)
+  in
+  let event = function
+    | Alloc { bid; name; elems; in_kernel } ->
+        Obj
+          [
+            ("event", Str "alloc");
+            ("block", int bid);
+            ("name", Str name);
+            ("elems", int elems);
+            ("in_kernel", Bool in_kernel);
+          ]
+    | Kernel k ->
+        Obj
+          [
+            ("event", Str "kernel");
+            ("id", int k.kid);
+            ("label", Str k.klabel);
+            ("threads", int k.kthreads);
+            ("declared_writes", Arr (List.map footprint k.declared_writes));
+            ("declared_reads", Arr (List.map footprint k.declared_reads));
+            ("fresh", ints k.fresh);
+            ("writes", offsets k.writes);
+            ("reads", offsets k.reads);
+            ("read_bytes", Num k.read_bytes);
+            ("write_bytes", Num k.write_bytes);
+          ]
+    | Copy c ->
+        Obj
+          [
+            ("event", Str "copy");
+            ("src", int c.csrc);
+            ("dst", int c.cdst);
+            ("shape", ints c.cshape);
+            ("src_ix", region c.csix);
+            ("dst_ix", region c.cdix);
+            ("bytes", Num c.cbytes);
+            ("elided", Bool c.celided);
+            ("in_kernel", Bool c.cin_kernel);
+          ]
+    | Last_use { var; bid } ->
+        Obj [ ("event", Str "last_use"); ("var", Str var); ("block", int bid) ]
+  in
   let tr = traffic t in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"traffic\":{\"kernel_reads\":%.0f,\"kernel_writes\":%.0f,\"copy_bytes\":%.0f,\"elided_bytes\":%.0f},"
-       tr.t_kernel_reads tr.t_kernel_writes tr.t_copy_bytes tr.t_elided_bytes);
-  Buffer.add_string b "\"histogram\":[";
-  Buffer.add_string b
-    (String.concat ","
-       (List.map
-          (fun (l, n, r, w) ->
-            Printf.sprintf
-              "{\"label\":\"%s\",\"launches\":%d,\"read_bytes\":%.0f,\"write_bytes\":%.0f}"
-              (json_escape l) n r w)
-          (histogram t)));
-  Buffer.add_string b "],\"events\":[";
-  Buffer.add_string b (String.concat "," (List.map json_event (events t)));
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Obj
+    [
+      ("program", Str t.program);
+      ("variant", Str t.variant);
+      ("exact", Bool t.exact);
+      ( "traffic",
+        Obj
+          [
+            ("kernel_reads", Num tr.t_kernel_reads);
+            ("kernel_writes", Num tr.t_kernel_writes);
+            ("copy_bytes", Num tr.t_copy_bytes);
+            ("elided_bytes", Num tr.t_elided_bytes);
+          ] );
+      ( "histogram",
+        Arr
+          (List.map
+             (fun (l, n, r, w) ->
+               Obj
+                 [
+                   ("label", Str l);
+                   ("launches", int n);
+                   ("read_bytes", Num r);
+                   ("write_bytes", Num w);
+                 ])
+             (histogram t)) );
+      ("events", Arr (List.map event (events t)));
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* Skeletons: variant-invariant logical event sequences              *)

@@ -157,7 +157,7 @@ val pp_footprint : Format.formatter -> footprint -> unit
 val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** The whole trace as a single JSON object: provenance, traffic
     totals, the per-kernel histogram, and the event list. *)
 

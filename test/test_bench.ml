@@ -221,24 +221,24 @@ let sample_record ?(traffic = 512.) ?pool ?(nonneg_misses = 100) ~reuse_ms
     reuse_ms allocs traffic pool_s nonneg_misses
 
 let parse_exn s =
-  match BJ.parse s with
+  match Core.Json.parse s with
   | Ok v -> v
   | Error e -> Alcotest.failf "parse failed: %s" e
 
 let test_gate_json_roundtrip () =
   let v = parse_exn (sample_record ~reuse_ms:4.0 ~allocs:1 ()) in
   let reuse_ms =
-    match Option.bind (BJ.member "benchmarks" v) BJ.arr with
+    match Option.bind (Core.Json.member "benchmarks" v) Core.Json.arr with
     | Some (b :: _) -> (
-        match Option.bind (BJ.member "rows" b) BJ.arr with
-        | Some (r :: _) -> BJ.num_at [ "reuse_ms" ] r
+        match Option.bind (Core.Json.member "rows" b) Core.Json.arr with
+        | Some (r :: _) -> Core.Json.num_at [ "reuse_ms" ] r
         | _ -> None)
     | _ -> None
   in
   Alcotest.(check (option (float 0.0))) "nested time" (Some 4.0) reuse_ms;
   (* malformed input must be an [Error], not an exception *)
   Alcotest.(check bool) "truncated input rejected" true
-    (match BJ.parse "{\"a\": [1, 2" with Error _ -> true | Ok _ -> false)
+    (match Core.Json.parse "{\"a\": [1, 2" with Error _ -> true | Ok _ -> false)
 
 let test_gate_identity_passes () =
   let b = parse_exn (sample_record ~reuse_ms:4.0 ~allocs:1 ()) in
@@ -319,6 +319,37 @@ let test_gate_missing_benchmark_fails () =
   Alcotest.(check bool) "new benchmark passes" true
     (BJ.ok (BJ.gate ~baseline:empty ~current:b ()))
 
+(* A 1-byte peak rise above 1e6 survives the writer: integral values
+   print exactly, so the gate reads back the rise (%g printed both as
+   1.23457e+06). *)
+let test_gate_exact_peak () =
+  let record peak =
+    Core.Json.(
+      Obj
+        [
+          ( "benchmarks",
+            Arr
+              [
+                Obj
+                  [
+                    ("name", Str "bm");
+                    ( "footprints",
+                      Arr
+                        [
+                          Obj
+                            [
+                              ("dataset", Str "d");
+                              ("reuse", Obj [ ("peak_bytes", Num peak) ]);
+                            ];
+                        ] );
+                  ];
+              ] );
+        ])
+  in
+  let reread peak = parse_exn (Core.Json.to_string (record peak)) in
+  Alcotest.(check bool) "1-byte peak rise fails" false
+    (BJ.ok (BJ.gate ~baseline:(reread 1234567.) ~current:(reread 1234568.) ()))
+
 let tests =
   [
     Alcotest.test_case "NW end-to-end" `Quick test_nw;
@@ -345,6 +376,8 @@ let tests =
       test_gate_catches_prover_regression;
     Alcotest.test_case "gate: improvement is a note" `Quick
       test_gate_improvement_is_note;
+    Alcotest.test_case "gate: 1-byte peak rise above 1e6 fails" `Quick
+      test_gate_exact_peak;
     Alcotest.test_case "gate: missing benchmark fails" `Quick
       test_gate_missing_benchmark_fails;
   ]

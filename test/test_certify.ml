@@ -386,7 +386,7 @@ let cert_doc ~verdict0 ~proved ~concretized =
     proved concretized verdict0
 
 let parse_doc s =
-  match BJ.parse s with
+  match Core.Json.parse s with
   | Ok v -> v
   | Error e -> Alcotest.failf "bad test JSON: %s" e
 

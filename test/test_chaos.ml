@@ -370,6 +370,15 @@ let test_chaosdrive_campaign () =
         (Benchsuite.Chaosdrive.run ~seed:7 ~rounds:1
            [ ("chain", prog, args_n 5) ]))
 
+let test_chaosdrive_record_parses () =
+  let camp =
+    Benchsuite.Chaosdrive.run ~seed:7 ~rounds:1
+      [ ("chain", gen_chain 2, args_n 5) ]
+  in
+  let j = Benchsuite.Chaosdrive.json camp in
+  Alcotest.(check bool) "campaign record parses back to its tree" true
+    (Core.Json.parse (Core.Json.to_string j) = Ok j)
+
 let tests =
   [
     Alcotest.test_case "budget 0: every obligation Undecided" `Quick
@@ -399,4 +408,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_fail_safe_never_raises;
     Alcotest.test_case "chaosdrive campaign on a generated program" `Quick
       test_chaosdrive_campaign;
+    Alcotest.test_case "chaosdrive campaign record parses" `Quick
+      test_chaosdrive_record_parses;
   ]

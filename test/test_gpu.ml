@@ -564,7 +564,7 @@ let test_trace_repeatable () =
       Exec.run ~trace:true compiled.Core.Pipeline.opt
         (Benchsuite.Nw.small_args ~q:3 ~b:4)
     in
-    Core.Trace.to_json (Option.get r.Exec.trace)
+    Core.Json.to_string (Core.Trace.to_json (Option.get r.Exec.trace))
   in
   let first = json () in
   Alcotest.(check string) "second run's trace" first (json ())

@@ -18,4 +18,5 @@ let () =
       ("certify", Test_certify.tests);
       ("pack", Test_pack.tests);
       ("chaos", Test_chaos.tests);
+      ("json", Test_json.tests);
     ]
